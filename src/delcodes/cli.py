@@ -331,11 +331,14 @@ def _cmd_search(args) -> int:
     if args.json:
         print(_dumps(result.to_json_dict()))
     else:
-        kind = "optimum" if result.exhausted else "lower-bound (budget exhausted)"
-        print(
-            f"{kind} {result.optimum}"
-            f" nodes={result.node_count} time_ms={result.wall_time_ms}"
-        )
+        if result.exhausted:
+            found = f"optimum {result.optimum}"
+        else:
+            found = (
+                f"lower-bound (budget exhausted) {result.optimum}"
+                f" optimum in [{result.optimum}, {result.upper_bound}]"
+            )
+        print(f"{found} nodes={result.node_count} time_ms={result.wall_time_ms}")
         sys.stdout.write(result.witness.to_text())
     return EXIT_OK if result.exhausted else EXIT_BUDGET
 

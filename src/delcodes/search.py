@@ -3,8 +3,10 @@
 Candidate words become vertices; two words conflict when their deletion
 balls intersect (equivalently, deletion distance at most t), so codes are
 exactly the independent sets.  Vertex sets are bitmasks over the candidate
-list, the bound is a greedy clique cover of the open vertices, and two
-search-space reductions are available: dropping dominated words and
+list.  Two bounds prune the search: the fractional container-clique cover
+of the root (see bound.py), which every node reuses on the words its open
+vertices can still reach, and a greedy clique cover of the open vertices.
+Two search-space reductions are available: dropping dominated words and
 pre-selecting the two constant words.
 """
 
@@ -15,13 +17,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+from .bound import certify, dual_iterates
 from .codes import Code, vt_code
 from .dominance import _dominant_pairs_packed
 from .words import Word, _ball_packed, complement, reverse, reverse_complement
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
 ENUMERATION_CAP = 7
-_BUDGET_CHECK_INTERVAL = 2048
 
 
 class SearchBudgetExceeded(Exception):
@@ -65,12 +67,15 @@ class SearchResult:
     node_count: int
     wall_time_ms: int
     exhausted: bool
+    # proved: no code is larger; equals optimum when exhausted
+    upper_bound: int
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "t": self.t,
             "optimum": self.optimum,
+            "upper_bound": self.upper_bound,
             "witness": [str(w) for w in self.witness],
             "node_count": self.node_count,
             "wall_time_ms": self.wall_time_ms,
@@ -223,22 +228,29 @@ def _solve_exact(
     best_size: int,
     best_chosen: int,
     deadline: float | None,
+    cap: int,
+    cliques: tuple[int, tuple[tuple[int, int], ...]],
 ) -> tuple[int, int, int, bool]:
     """Exact max independent set extension of (base_size, base_chosen).
 
     Branch-and-reduce: open vertices whose open neighbourhood is a clique of
     size 0, 1, or 2 belong to some maximum solution and are taken outright;
-    the remainder branches on the highest-degree open vertex under the greedy
-    clique-cover bound.  Returns (best_size, best_chosen, nodes, exhausted);
+    the remainder branches on the highest-degree open vertex.  A node is
+    pruned by the container-clique certificate `cliques` = (c, ((mask,
+    weight), ...)) from bound.certify (none when empty), then by the greedy
+    clique cover.  The search stops once the incumbent reaches `cap`, a
+    proved upper bound.  Returns (best_size, best_chosen, nodes, exhausted);
     on deadline expiry the best found so far comes back with exhausted False.
     """
+    unit, containers = cliques
     nodes = 0
     stack = [(open_mask, base_size, base_chosen)]
     while stack:
+        if best_size >= cap:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            return best_size, best_chosen, nodes, False
         nodes += 1
-        if deadline is not None and nodes % _BUDGET_CHECK_INTERVAL == 0:
-            if time.monotonic() > deadline:
-                return best_size, best_chosen, nodes, False
         om, size, chosen = stack.pop()
         while om:
             reduced = False
@@ -272,6 +284,16 @@ def _solve_exact(
             best_size, best_chosen = size, chosen
         if not om:
             continue
+        if containers:
+            # prune iff (weight reachable from om) // c <= best_size - size
+            room = (best_size - size + 1) * unit
+            for mask, w in containers:
+                if mask & om:
+                    room -= w
+                    if room <= 0:
+                        break
+            else:
+                continue
         if size + _cover_bound(om, adj) <= best_size:
             continue
         v = _branch_vertex(om, adj)
@@ -282,8 +304,8 @@ def _solve_exact(
 
 
 def _solve_worker(args) -> tuple[int, int, int, bool]:
-    adj, om, size, chosen, best_size, deadline = args
-    return _solve_exact(adj, om, size, chosen, best_size, 0, deadline)
+    adj, om, size, chosen, best_size, deadline, cap, cliques = args
+    return _solve_exact(adj, om, size, chosen, best_size, 0, deadline, cap, cliques)
 
 
 def _split_frontier(
@@ -317,17 +339,21 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     adj = graph.adj
 
     best_size, best_chosen = _initial_incumbent(graph, open0, size0, chosen0)
+    upper, cliques = _root_bound(graph, open0, size0, deadline)
 
-    if config.workers == 1 or len(graph) <= 4:
+    if best_size >= upper:
+        nodes, exhausted = 0, True
+    elif config.workers == 1 or len(graph) <= 4:
         best_size, best_chosen, nodes, exhausted = _solve_exact(
-            adj, open0, size0, chosen0, best_size, best_chosen, deadline
+            adj, open0, size0, chosen0, best_size, best_chosen, deadline,
+            upper, cliques,
         )
     else:
         subproblems = _split_frontier(adj, open0, size0, chosen0, 4 * config.workers)
         nodes = len(subproblems)
         exhausted = True
         tasks = [
-            (adj, om, size, chosen, best_size, deadline)
+            (adj, om, size, chosen, best_size, deadline, upper, cliques)
             for om, size, chosen in subproblems
         ]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -349,7 +375,28 @@ def max_code_size(config: SearchConfig) -> SearchResult:
         node_count=nodes,
         wall_time_ms=int((time.monotonic() - start) * 1000),
         exhausted=exhausted,
+        upper_bound=best_size if exhausted else upper,
     )
+
+
+def _root_bound(
+    graph: ConflictGraph, open0: int, size0: int, deadline: float | None
+) -> tuple[int, tuple[int, tuple[tuple[int, int], ...]]]:
+    """Proved upper bound on the optimum, and the node certificate for
+    _solve_exact.  The simplex stops at the deadline; the duals of whatever
+    iterate it reached still certify a (weaker) bound."""
+    upper = size0 + _cover_bound(open0, graph.adj)
+    if not open0:
+        return upper, (1, ())
+    duals: list[float] = []
+    for duals in dual_iterates(graph, open0):
+        if deadline is not None and time.monotonic() > deadline:
+            break
+    cliques = certify(graph, open0, duals)
+    if cliques is None:
+        return upper, (1, ())
+    unit, containers = cliques
+    return min(upper, size0 + sum(w for _, w in containers) // unit), cliques
 
 
 def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
@@ -375,15 +422,12 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     adj = graph.adj
 
     found: list[int] = []
-    nodes = 0
     stack = [(open0, size0, chosen0)]
     while stack:
-        nodes += 1
-        if deadline is not None and nodes % _BUDGET_CHECK_INTERVAL == 0:
-            if time.monotonic() > deadline:
-                raise SearchBudgetExceeded(
-                    f"enumeration at n={config.n}, t={config.t} ran out of budget"
-                )
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchBudgetExceeded(
+                f"enumeration at n={config.n}, t={config.t} ran out of budget"
+            )
         om, size, chosen = stack.pop()
         if size == optimum:
             found.append(chosen)
@@ -411,21 +455,37 @@ def _initial_incumbent(
 ) -> tuple[int, int]:
     """Strong deterministic starting solution: min-degree greedy extension of
     the root state, improved for single deletions by the best checksum-residue
-    code present among the candidates."""
+    code, its pruned words replaced by candidate subordinates."""
     adj = graph.adj
     size, chosen = _greedy_independent(open0, adj)
     best_size, best_chosen = size + size0, chosen | chosen0
     if graph.t == 1:
         n = graph.word_length
+        subordinate = _basic_subordinates(n, 1)
         for a in range(n + 1):
             mask = 0
             for w in vt_code(n, a):
-                i = graph._index.get(w.bits)
-                if i is not None:  # pruned words just shrink the seed
+                bits = w.bits
+                if bits not in graph._index:
+                    # a subordinate's ball lies inside w's, so the code still corrects
+                    bits = subordinate.get(bits)
+                i = graph._index.get(bits)
+                if i is not None:
                     mask |= 1 << i
             if mask.bit_count() > best_size:
                 best_size, best_chosen = mask.bit_count(), mask
     return best_size, best_chosen
+
+
+@functools.lru_cache(maxsize=None)
+def _basic_subordinates(n: int, t: int) -> dict[int, int]:
+    """For each dominant word, its smallest subordinate that is not dominant."""
+    dominant = _dominant_words_packed(n, t)
+    out: dict[int, int] = {}
+    for u, v in _dominant_pairs_packed(n, t):  # ascending in v
+        if v not in dominant:
+            out.setdefault(u, v)
+    return out
 
 
 def _prepare(config: SearchConfig):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_strings, ref_ball
 
@@ -17,6 +19,16 @@ from delcodes import (
     max_code_size,
     weight,
 )
+from delcodes.bound import certify, dual_iterates
+from delcodes.dominance import _dominant_pairs_packed
+from delcodes.search import (
+    SEARCH_CAPS,
+    _cover_bound,
+    _initial_incumbent,
+    _prepare,
+    _root_bound,
+    _solve_exact,
+)
 
 EXAMPLE_CODE = Code(["00000", "11111", "00011", "11000", "10101", "01110"])
 
@@ -24,6 +36,13 @@ EXAMPLE_CODE = Code(["00000", "11111", "00011", "11000", "10101", "01110"])
 CANDIDATE_COUNTS = {(4, 1): 6, (5, 1): 18, (6, 1): 46, (5, 2): 2}
 OPTIMA_T1 = {2: 2, 3: 2, 4: 4, 5: 6, 6: 10}
 OPTIMA_T2 = {3: 2, 4: 2, 5: 2, 6: 4}
+# (t, n) -> optimum: t=1 n=8 is Sloane's, the rest settled by this search
+KNOWN_OPTIMA = {
+    **{(1, n): v for n, v in {**OPTIMA_T1, 7: 16, 8: 30}.items()},
+    **{(2, n): v for n, v in {**OPTIMA_T2, 7: 5, 8: 7, 9: 11}.items()},
+    **{(3, n): v for n, v in {4: 2, 5: 2, 6: 2, 7: 2, 8: 4, 9: 5, 10: 6}.items()},
+}
+FLAGS = [(b, f) for b in (True, False) for f in (True, False)]
 SMALLEST_MAX_CODE_5_1 = ("00000", "00011", "01101", "10010", "11100", "11111")
 OPTIMAL_BASIC_CLASSES_5_1 = [
     ("00000", "00011", "01101", "10010", "11100", "11111"),
@@ -160,7 +179,8 @@ class TestMaxCodeSize:
         )
         assert not result.exhausted
         assert is_t_deletion_correcting(result.witness, 1)
-        assert result.optimum <= max_code_size(SearchConfig(7, 1)).optimum
+        optimum = max_code_size(SearchConfig(7, 1)).optimum
+        assert result.optimum <= optimum <= result.upper_bound
 
     def test_workers_do_not_change_optimum(self):
         outcomes = set()
@@ -183,8 +203,107 @@ class TestMaxCodeSize:
         assert doc["optimum"] == 4 and doc["exhausted"] is True
         assert sorted(doc["witness"]) == doc["witness"]
         assert set(doc) == {
-            "n", "t", "optimum", "witness", "node_count", "wall_time_ms", "exhausted",
+            "n", "t", "optimum", "upper_bound", "witness", "node_count",
+            "wall_time_ms", "exhausted",
         }
+
+    @pytest.mark.parametrize("n,t", [(6, 1), (8, 1), (9, 3)])
+    def test_settled_at_root(self, n, t):
+        r = max_code_size(SearchConfig(n, t))
+        assert r.exhausted and r.node_count == 0
+        assert r.optimum == r.upper_bound == KNOWN_OPTIMA[t, n] == len(r.witness)
+        assert is_t_deletion_correcting(r.witness, t)
+
+    def test_checksum_seed_keeps_pruned_codewords(self):
+        # pruned codewords are swapped for candidate subordinates, not dropped
+        for n, size in {7: 16, 9: 52, 10: 94, 11: 172}.items():
+            graph, open0, size0, chosen0 = _prepare(SearchConfig(n, 1))
+            seed, mask = _initial_incumbent(graph, open0, size0, chosen0)
+            code = Code([w for i, w in enumerate(graph.vertices) if mask >> i & 1])
+            assert seed == len(code) == size
+            assert is_t_deletion_correcting(code, 1)
+
+
+def test_every_dominant_word_has_a_basic_subordinate():
+    # dropping dominant words from the search is sound exactly when this holds
+    for t, cap in SEARCH_CAPS.items():
+        for n in range(t + 1, cap + 1):
+            pairs = _dominant_pairs_packed(n, t)
+            dominant = {u for u, _ in pairs}
+            covered = {u for u, v in pairs if v not in dominant}
+            assert covered == dominant, (n, t)
+
+
+class TestRootBound:
+    @pytest.mark.parametrize("basic_only,force", FLAGS)
+    def test_certified_bound_covers_known_optimum(self, basic_only, force):
+        for (t, n), optimum in KNOWN_OPTIMA.items():
+            config = SearchConfig(n, t, basic_only=basic_only, force_constants=force)
+            graph, open0, size0, _ = _prepare(config)
+            upper, _ = _root_bound(graph, open0, size0, None)
+            assert upper >= optimum, (n, t)
+
+    def test_lp_settles_where_the_greedy_cover_does_not(self):
+        graph, open0, size0, _ = _prepare(SearchConfig(8, 1))
+        assert size0 + _cover_bound(open0, graph.adj) == 50
+        assert _root_bound(graph, open0, size0, None)[0] == 30
+
+    @pytest.mark.parametrize("n,t", [(7, 1), (8, 1), (9, 2), (10, 3)])
+    def test_every_simplex_iterate_certifies(self, n, t):
+        graph, open0, size0, _ = _prepare(SearchConfig(n, t))
+        optimum = KNOWN_OPTIMA[t, n]
+        # from the slack basis (0 pivots) on, any iterate may be the last
+        iterates = 0
+        for iterates, duals in enumerate(dual_iterates(graph, open0), 1):
+            cliques = certify(graph, open0, duals)
+            if cliques is not None:
+                unit, containers = cliques
+                assert size0 + sum(w for _, w in containers) // unit >= optimum
+        assert iterates > 2 and cliques is not None
+        # a deadline that has passed stops the simplex after its first iterate
+        assert _root_bound(graph, open0, size0, 0.0)[0] >= optimum
+
+    @pytest.mark.parametrize("n,t", [(5, 1), (6, 1), (7, 1), (6, 2), (8, 2), (8, 3)])
+    def test_node_pruning_from_an_empty_incumbent(self, n, t):
+        # no seed and no cap: every improvement must come through pruned nodes
+        graph, open0, size0, chosen0 = _prepare(SearchConfig(n, t))
+        _, cliques = _root_bound(graph, open0, size0, None)
+        best, _, _, done = _solve_exact(
+            graph.adj, open0, size0, chosen0, 0, 0, None, len(graph), cliques
+        )
+        assert done and best == KNOWN_OPTIMA[t, n]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([(n, t) for n in range(3, 7) for t in (1, 2) if t < n]),
+           st.sampled_from(FLAGS), st.data())
+    def test_node_bound_covers_brute_force(self, nt, flags, data):
+        n, t = nt
+        config = SearchConfig(n, t, basic_only=flags[0], force_constants=flags[1])
+        graph, open0, size0, _ = _prepare(config)
+        _, (unit, containers) = _root_bound(graph, open0, size0, None)
+        indices = [i for i in range(len(graph)) if open0 >> i & 1]
+        chosen = (
+            data.draw(st.lists(st.sampled_from(indices), max_size=14, unique=True))
+            if indices else []
+        )
+        om = sum(1 << i for i in chosen)
+        reached = sum(w for mask, w in containers if mask & om)
+        words = [str(graph.vertices[i]) for i in chosen]
+        assert reached // unit >= _brute_max_code(words, t)
+
+
+def _brute_max_code(words: list[str], t: int) -> int:
+    """Largest subset with pairwise disjoint deletion balls, by exhaustion."""
+    balls = [ref_ball(w, t) for w in words]
+
+    def best(rest: list[int]) -> int:
+        if not rest:
+            return 0
+        first, others = rest[0], rest[1:]
+        apart = [j for j in others if not balls[first] & balls[j]]
+        return max(best(others), 1 + best(apart))
+
+    return best(list(range(len(words))))
 
 
 class TestEnumerateOptimal:
