@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterator, Sequence
 
-from .words import _ball_table, _reverse_packed
+from .words import _ball_table, _images
 
 _SCALE = 1 << 20
 _EPS = 1e-9
@@ -30,14 +30,12 @@ _EPS = 1e-9
 def _orbit_index(words, length: int) -> tuple[dict[int, int], list[int]]:
     """Orbit number of each word under {id, complement, reverse, both}, and
     the size of each orbit."""
-    full = (1 << length) - 1
     index: dict[int, int] = {}
     sizes: list[int] = []
     for b in words:
         if b in index:
             continue
-        r = _reverse_packed(b, length)
-        orbit = {b, b ^ full, r, r ^ full}
+        orbit = set(_images(b, length))
         for x in orbit:
             index[x] = len(sizes)
         sizes.append(len(orbit))

@@ -16,7 +16,7 @@ from .codes import (
     Code,
     dominant_codewords,
     find_ball_collision,
-    is_t_deletion_correcting,
+    is_perfect,
     vt_code,
 )
 from .dominance import (
@@ -245,13 +245,8 @@ def _cmd_check(args) -> int:
     collision = find_ball_collision(code, t)
     correcting = collision is None
 
-    perfect: bool | None = None
-    if args.perfect:
-        if correcting:
-            covered = sum(len(deletion_ball(w, t)) for w in code)
-            perfect = covered == 1 << (code.length - t)
-        else:
-            perfect = None  # undefined without disjoint balls
+    # undefined without disjoint balls
+    perfect = is_perfect(code, t) if args.perfect and correcting else None
 
     offenders: list[Word] | None = None
     if args.basic:
@@ -303,7 +298,6 @@ def _cmd_search(args) -> int:
         t=args.t,
         basic_only=not args.no_basic_prune,
         force_constants=not args.no_force_constants,
-        enumerate_all=args.enumerate,
         canonical_witness=args.canonical,
         time_budget=args.budget,
         workers=args.threads,

@@ -9,8 +9,13 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator
 
-from .dominance import subordinates_of
-from .words import Word, _ball_packed, _reverse_packed, deletion_distance
+from .dominance import (
+    BRUTE_FORCE_CAP,
+    _check_query,
+    _dominant_words_packed,
+    subordinates_of,
+)
+from .words import Word, _ball_packed, _images, deletion_distance
 
 
 class Code:
@@ -118,7 +123,9 @@ def is_perfect(code: Code, t: int) -> bool:
 def dominant_codewords(code: Code, t: int) -> list[Word]:
     """Codewords that dominate some other word of the full space."""
     _check_t(code, t)
-    return [w for w in code.words if len(subordinates_of(w, t)) > 0]
+    _check_query(code.length, t, BRUTE_FORCE_CAP)
+    dominant = _dominant_words_packed(code.length, t)
+    return [w for w in code.words if w.bits in dominant]
 
 
 def is_basic(code: Code, t: int) -> bool:
@@ -155,17 +162,9 @@ def are_equivalent(c1: Code, c2: Code) -> bool:
     """True iff c2 is c1, its complement, its reversal, or both applied."""
     if c1.length != c2.length:
         raise ValueError(f"length mismatch: {c1.length} != {c2.length}")
-    n = c1.length
-    mask = (1 << n) - 1
-    base = frozenset(w.bits for w in c1.words)
+    orbits = [_images(w.bits, c1.length) for w in c1.words]
     target = frozenset(w.bits for w in c2.words)
-    images = (
-        base,
-        frozenset(b ^ mask for b in base),
-        frozenset(_reverse_packed(b, n) for b in base),
-        frozenset(_reverse_packed(b, n) ^ mask for b in base),
-    )
-    return target in images
+    return any(frozenset(o[k] for o in orbits) == target for k in range(4))
 
 
 def vt_code(n: int, a: int) -> Code:

@@ -18,9 +18,8 @@ from .words import (
     _ball_packed,
     _ball_table,
     _containers,
+    _images,
     _lcs_packed,
-    _reverse_packed,
-    deletion_distance,
 )
 
 BRUTE_FORCE_CAP = 14
@@ -86,6 +85,12 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@functools.lru_cache(maxsize=None)
+def _dominant_words_packed(n: int, t: int) -> frozenset[int]:
+    """Packed words that dominate at least one other word."""
+    return frozenset(u for u, _ in _dominant_pairs_packed(n, t))
+
+
 def enumerate_dominant_pairs(
     n: int, t: int, cap: int = BRUTE_FORCE_CAP
 ) -> list[DominancePair]:
@@ -105,31 +110,15 @@ def enumerate_dominant_pairs(
 def dominators_of(v: Word, t: int, cap: int = BRUTE_FORCE_CAP) -> WordSet:
     """All words dominating v."""
     _check_query(v.n, t, cap)
-    bv = _ball_packed(v.bits, v.n, t)
-    found = []
-    for ub in range(1 << v.n):
-        if ub == v.bits:
-            continue
-        if v.n - _lcs_packed(ub, v.n, v.bits, v.n) > t:
-            continue
-        if bv <= _ball_packed(ub, v.n, t):
-            found.append(ub)
-    return WordSet._from_packed(v.n, found)
+    pairs = _dominant_pairs_packed(v.n, t)
+    return WordSet._from_packed(v.n, (a for a, b in pairs if b == v.bits))
 
 
 def subordinates_of(u: Word, t: int, cap: int = BRUTE_FORCE_CAP) -> WordSet:
     """All words dominated by u."""
     _check_query(u.n, t, cap)
-    bu = _ball_packed(u.bits, u.n, t)
-    found = []
-    for vb in range(1 << u.n):
-        if vb == u.bits:
-            continue
-        if u.n - _lcs_packed(u.bits, u.n, vb, u.n) > t:
-            continue
-        if _ball_packed(vb, u.n, t) <= bu:
-            found.append(vb)
-    return WordSet._from_packed(u.n, found)
+    pairs = _dominant_pairs_packed(u.n, t)
+    return WordSet._from_packed(u.n, (b for a, b in pairs if a == u.bits))
 
 
 def _check_query(n: int, t: int, cap: int) -> None:
@@ -530,20 +519,11 @@ def _try_row(acc, filtered, pattern: PatternPair, n, m, p, t, close=False) -> No
     if u == v or not is_dominant(u, v, t):
         filtered.append(FilteredInstance(pattern.tag, n, m, p, u, v))
         return
-    images = _pair_images(u.bits, v.bits, n) if close else [(u.bits, v.bits)]
+    images = [(u.bits, v.bits)]
+    if close:
+        images = zip(_images(u.bits, n), _images(v.bits, n))
     for key in images:
         acc.setdefault(key, set()).add(pattern.tag)
-
-
-def _pair_images(ub: int, vb: int, n: int) -> list[tuple[int, int]]:
-    mask = (1 << n) - 1
-    ur, vr = _reverse_packed(ub, n), _reverse_packed(vb, n)
-    return [
-        (ub, vb),
-        (ub ^ mask, vb ^ mask),
-        (ur, vr),
-        (ur ^ mask, vr ^ mask),
-    ]
 
 
 def equivalence_closure(pairs) -> set[DominancePair]:
@@ -551,7 +531,7 @@ def equivalence_closure(pairs) -> set[DominancePair]:
     out: set[DominancePair] = set()
     for pair in pairs:
         n = pair.u.n
-        for ub, vb in _pair_images(pair.u.bits, pair.v.bits, n):
+        for ub, vb in zip(_images(pair.u.bits, n), _images(pair.v.bits, n)):
             out.add(
                 DominancePair(Word.from_bits(ub, n), Word.from_bits(vb, n), pair.t)
             )

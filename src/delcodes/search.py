@@ -19,15 +19,15 @@ from dataclasses import dataclass, replace
 
 from .bound import certify, dual_iterates
 from .codes import Code, vt_code
-from .dominance import _dominant_pairs_packed
-from .words import Word, _ball_packed, complement, reverse, reverse_complement
+from .dominance import _dominant_pairs_packed, _dominant_words_packed
+from .words import Word, _ball_packed, _images
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
 ENUMERATION_CAP = 7
 
 
 class SearchBudgetExceeded(Exception):
-    """Raised when full enumeration runs out of time budget."""
+    """Raised when enumeration or the canonical witness runs out of time budget."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class SearchConfig:
     t: int
     basic_only: bool = True
     force_constants: bool = True
-    enumerate_all: bool = False
     canonical_witness: bool = False
     time_budget: float = 600.0
     workers: int = 1
@@ -112,11 +111,6 @@ class ConflictGraph:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-@functools.lru_cache(maxsize=None)
-def _dominant_words_packed(n: int, t: int) -> frozenset[int]:
-    return frozenset(u for u, _ in _dominant_pairs_packed(n, t))
 
 
 def build_candidates(n: int, t: int, basic_only: bool) -> list[Word]:
@@ -230,6 +224,7 @@ def _solve_exact(
     deadline: float | None,
     cap: int,
     cliques: tuple[int, tuple[tuple[int, int], ...]],
+    found: list[int] | None = None,
 ) -> tuple[int, int, int, bool]:
     """Exact max independent set extension of (base_size, base_chosen).
 
@@ -241,6 +236,13 @@ def _solve_exact(
     clique cover.  The search stops once the incumbent reaches `cap`, a
     proved upper bound.  Returns (best_size, best_chosen, nodes, exhausted);
     on deadline expiry the best found so far comes back with exhausted False.
+
+    The same loop serves three modes.  Maximise: best_size is an incumbent
+    and cap a proved bound.  Find a solution of size T: best_size T - 1 and
+    cap T.  Collect every solution of size T, the optimum: best_size T - 1
+    and a list `found`, to which each solution is appended; best_size then
+    stays fixed, and the reductions are skipped because they keep only one
+    of several optima.
     """
     unit, containers = cliques
     nodes = 0
@@ -252,7 +254,7 @@ def _solve_exact(
             return best_size, best_chosen, nodes, False
         nodes += 1
         om, size, chosen = stack.pop()
-        while om:
+        while om and found is None:
             reduced = False
             rem = om
             while rem:
@@ -281,6 +283,9 @@ def _solve_exact(
             if not reduced:
                 break
         if size > best_size:
+            if found is not None:
+                found.append(chosen)
+                continue
             best_size, best_chosen = size, chosen
         if not om:
             continue
@@ -364,7 +369,9 @@ def max_code_size(config: SearchConfig) -> SearchResult:
                     best_size, best_chosen = size, chosen
 
     if config.canonical_witness and exhausted:
-        best_chosen = _canonical_witness(adj, open0, size0, chosen0, best_size)
+        best_chosen = _canonical_witness(
+            adj, open0, size0, chosen0, best_size, deadline, cliques
+        )
 
     witness = Code([graph.vertices[i] for i in _bits_of(best_chosen)])
     return SearchResult(
@@ -400,54 +407,44 @@ def _root_bound(
 
 
 def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
-    """All maximum codes that are basic, one canonical member per equivalence class."""
+    """All maximum codes that are basic, one canonical member per equivalence class.
+
+    The optimum and the collection of every solution of that size share one
+    deadline, taken at entry."""
     config.validate()
-    if not config.enumerate_all:
-        raise ValueError("enumeration requires enumerate_all")
     if config.n > ENUMERATION_CAP:
         raise ValueError(
             f"length {config.n} exceeds enumeration cap {ENUMERATION_CAP}"
         )
-    base = replace(config, enumerate_all=False, canonical_witness=False, workers=1)
-    base_result = max_code_size(base)
+    deadline = time.monotonic() + config.time_budget if config.time_budget else None
+    base_result = max_code_size(replace(config, canonical_witness=False, workers=1))
     if not base_result.exhausted:
         raise SearchBudgetExceeded(
             f"optimum at n={config.n}, t={config.t} not settled within budget"
         )
     optimum = base_result.optimum
 
-    start = time.monotonic()
-    deadline = start + config.time_budget if config.time_budget else None
     graph, open0, size0, chosen0 = _prepare(config)
-    adj = graph.adj
-
     found: list[int] = []
-    stack = [(open0, size0, chosen0)]
-    while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchBudgetExceeded(
-                f"enumeration at n={config.n}, t={config.t} ran out of budget"
-            )
-        om, size, chosen = stack.pop()
-        if size == optimum:
-            found.append(chosen)
-            continue
-        if not om or size + _cover_bound(om, adj) < optimum:
-            continue
-        v = _branch_vertex(om, adj)
-        bit = 1 << v
-        stack.append((om & ~bit, size, chosen))
-        stack.append((om & ~bit & ~adj[v], size + 1, chosen | bit))
+    *_, exhausted = _solve_exact(
+        graph.adj, open0, size0, chosen0, optimum - 1, 0, deadline, optimum,
+        (1, ()), found,
+    )
+    if not exhausted:
+        raise SearchBudgetExceeded(
+            f"enumeration at n={config.n}, t={config.t} ran out of budget"
+        )
 
-    dominant = _dominant_words_packed(config.n, config.t)
-    classes: dict[tuple[str, ...], Code] = {}
+    n = config.n
+    dominant = _dominant_words_packed(n, config.t)
+    keys: set[tuple[int, ...]] = set()
     for chosen in found:
-        words = [graph.vertices[i] for i in _bits_of(chosen)]
-        if any(w.bits in dominant for w in words):
+        orbits = [_images(graph.vertices[i].bits, n) for i in _bits_of(chosen)]
+        if any(o[0] in dominant for o in orbits):
             continue
-        key = _canonical_class_key(words)
-        classes.setdefault(key, Code([Word(s) for s in key]))
-    return [classes[k] for k in sorted(classes)]
+        # least sorted image; packed order is string order at one length
+        keys.add(min(tuple(sorted(o[k] for o in orbits)) for k in range(4)))
+    return [Code([Word.from_bits(b, n) for b in key]) for key in sorted(keys)]
 
 
 def _initial_incumbent(
@@ -509,9 +506,17 @@ def _prepare(config: SearchConfig):
 
 
 def _canonical_witness(
-    adj: tuple[int, ...], open0: int, size0: int, chosen0: int, optimum: int
+    adj: tuple[int, ...],
+    open0: int,
+    size0: int,
+    chosen0: int,
+    optimum: int,
+    deadline: float | None,
+    cliques: tuple[int, tuple[tuple[int, int], ...]],
 ) -> int:
-    """Lexicographically smallest optimum solution, fixed vertex by vertex."""
+    """Lexicographically smallest optimum solution, fixed vertex by vertex.
+
+    Raises SearchBudgetExceeded when the deadline passes first."""
     chosen = chosen0
     size = size0
     om = open0
@@ -521,40 +526,20 @@ def _canonical_witness(
             low = rem & -rem
             v = low.bit_length() - 1
             rem ^= low
-            bit = 1 << v
-            if _exists_of_size(adj, om & ~bit & ~adj[v], size + 1, optimum):
-                chosen |= bit
+            sub = om & ~low & ~adj[v]
+            best, _, _, exhausted = _solve_exact(
+                adj, sub, size + 1, 0, optimum - 1, 0, deadline, optimum, cliques
+            )
+            if best >= optimum:
+                chosen |= low
                 size += 1
-                om &= ~bit & ~adj[v]
+                om = sub
                 break
+            if not exhausted:
+                raise SearchBudgetExceeded("canonical witness ran out of budget")
         else:
             raise AssertionError("canonical witness reconstruction failed")
     return chosen
-
-
-def _exists_of_size(adj: tuple[int, ...], open_mask: int, size: int, target: int) -> bool:
-    stack = [(open_mask, size)]
-    while stack:
-        om, sz = stack.pop()
-        if sz == target:
-            return True
-        if sz + _cover_bound(om, adj) < target:
-            continue
-        v = _branch_vertex(om, adj)
-        bit = 1 << v
-        stack.append((om & ~bit, sz))
-        stack.append((om & ~bit & ~adj[v], sz + 1))
-    return False
-
-
-def _canonical_class_key(words: list[Word]) -> tuple[str, ...]:
-    images = (
-        tuple(sorted(str(w) for w in words)),
-        tuple(sorted(str(complement(w)) for w in words)),
-        tuple(sorted(str(reverse(w)) for w in words)),
-        tuple(sorted(str(reverse_complement(w)) for w in words)),
-    )
-    return min(images)
 
 
 def _bits_of(mask: int):

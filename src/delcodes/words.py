@@ -296,6 +296,15 @@ def _reverse_packed(bits: int, n: int) -> int:
     return out
 
 
+def _images(bits: int, n: int) -> tuple[int, int, int, int]:
+    """The word, its complement, its reversal and its reverse complement:
+    the orbit under the symmetry group that maps every code to a code of
+    the same size."""
+    mask = (1 << n) - 1
+    r = _reverse_packed(bits, n)
+    return bits, bits ^ mask, r, r ^ mask
+
+
 def _ball1_packed(bits: int, n: int) -> frozenset[int]:
     return frozenset(_delete_packed(bits, n, i) for i in range(1, n + 1))
 

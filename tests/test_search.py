@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from delcodes.bound import certify, dual_iterates
 from delcodes.dominance import _dominant_pairs_packed
 from delcodes.search import (
     SEARCH_CAPS,
+    _canonical_witness,
     _cover_bound,
     _initial_incumbent,
     _prepare,
@@ -44,6 +47,10 @@ KNOWN_OPTIMA = {
 }
 FLAGS = [(b, f) for b in (True, False) for f in (True, False)]
 SMALLEST_MAX_CODE_5_1 = ("00000", "00011", "01101", "10010", "11100", "11111")
+CANONICAL_8_2 = [
+    "00000000", "00000111", "00101010", "01111100", "10110011", "11100000",
+    "11111111",
+]
 OPTIMAL_BASIC_CLASSES_5_1 = [
     ("00000", "00011", "01101", "10010", "11100", "11111"),
     ("00000", "00011", "01110", "10101", "11000", "11111"),
@@ -198,6 +205,19 @@ class TestMaxCodeSize:
         )
         assert unpruned.witness == r.witness
 
+    def test_canonical_witness_pinned(self):
+        r = max_code_size(SearchConfig(8, 2, canonical_witness=True))
+        assert [str(w) for w in r.witness] == CANONICAL_8_2
+
+    def test_canonical_witness_respects_deadline(self):
+        graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 1))
+        _, cliques = _root_bound(graph, open0, size0, None)
+        past = time.monotonic() - 1
+        with pytest.raises(SearchBudgetExceeded):
+            _canonical_witness(
+                graph.adj, open0, size0, chosen0, KNOWN_OPTIMA[1, 7], past, cliques
+            )
+
     def test_json_document(self):
         doc = max_code_size(SearchConfig(4, 1)).to_json_dict()
         assert doc["optimum"] == 4 and doc["exhausted"] is True
@@ -308,17 +328,17 @@ def _brute_max_code(words: list[str], t: int) -> int:
 
 class TestEnumerateOptimal:
     def test_n5_t1_classes(self):
-        codes = enumerate_optimal_codes(SearchConfig(5, 1, enumerate_all=True))
+        codes = enumerate_optimal_codes(SearchConfig(5, 1))
         assert [tuple(str(w) for w in c) for c in codes] == OPTIMAL_BASIC_CLASSES_5_1
 
     def test_contains_example_code_class(self):
-        codes = enumerate_optimal_codes(SearchConfig(5, 1, enumerate_all=True))
+        codes = enumerate_optimal_codes(SearchConfig(5, 1))
         assert any(are_equivalent(c, EXAMPLE_CODE) for c in codes)
 
     def test_returned_codes_are_valid(self):
         for n, t in [(4, 1), (5, 1), (5, 2)]:
-            config = SearchConfig(n, t, enumerate_all=True)
-            optimum = max_code_size(SearchConfig(n, t)).optimum
+            config = SearchConfig(n, t)
+            optimum = max_code_size(config).optimum
             codes = enumerate_optimal_codes(config)
             assert codes
             for c in codes:
@@ -327,30 +347,31 @@ class TestEnumerateOptimal:
                 assert is_basic(c, t)
 
     def test_pairwise_inequivalent(self):
-        codes = enumerate_optimal_codes(SearchConfig(5, 1, enumerate_all=True))
+        codes = enumerate_optimal_codes(SearchConfig(5, 1))
         for i in range(len(codes)):
             for j in range(i + 1, len(codes)):
                 assert not are_equivalent(codes[i], codes[j])
 
     def test_flag_independent(self):
-        base = enumerate_optimal_codes(SearchConfig(5, 1, enumerate_all=True))
-        alt = enumerate_optimal_codes(
-            SearchConfig(
-                5, 1, basic_only=False, force_constants=False, enumerate_all=True
+        for n, t in [(5, 1), (6, 1), (6, 2)]:
+            base = enumerate_optimal_codes(SearchConfig(n, t))
+            alt = enumerate_optimal_codes(
+                SearchConfig(n, t, basic_only=False, force_constants=False)
             )
-        )
-        assert base == alt
+            assert base == alt, (n, t)
+
+    def test_class_counts(self):
+        # the degree-1/2 reductions keep one optimum of several: run while
+        # collecting, they drop classes (20 -> 15 at t=2, n=7)
+        for (n, t), count in {(6, 1): 3, (6, 2): 2, (7, 2): 20, (7, 3): 1}.items():
+            assert len(enumerate_optimal_codes(SearchConfig(n, t))) == count, (n, t)
 
     def test_requires_enumerate_flag_and_cap(self):
         with pytest.raises(ValueError):
-            enumerate_optimal_codes(SearchConfig(5, 1))
-        with pytest.raises(ValueError):
-            enumerate_optimal_codes(SearchConfig(8, 1, enumerate_all=True))
+            enumerate_optimal_codes(SearchConfig(8, 1))
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(SearchBudgetExceeded):
             enumerate_optimal_codes(
-                SearchConfig(
-                    7, 1, basic_only=False, enumerate_all=True, time_budget=1e-6
-                )
+                SearchConfig(7, 1, basic_only=False, time_budget=1e-6)
             )
