@@ -21,16 +21,19 @@ from delcodes import (
     max_code_size,
     weight,
 )
+from delcodes import search
 from delcodes.bound import certify, dual_iterates
 from delcodes.dominance import _dominant_pairs_packed
 from delcodes.search import (
     SEARCH_CAPS,
     _canonical_witness,
     _cover_bound,
+    _DegreeOrder,
     _initial_incumbent,
     _prepare,
     _root_bound,
     _solve_exact,
+    _split_frontier,
 )
 
 EXAMPLE_CODE = Code(["00000", "11111", "00011", "11000", "10101", "01110"])
@@ -243,6 +246,11 @@ class TestMaxCodeSize:
             assert seed == len(code) == size
             assert is_t_deletion_correcting(code, 1)
 
+    def test_two_workers_settle_t1_n7(self):
+        r = max_code_size(SearchConfig(7, 1, workers=2))
+        assert r.exhausted and r.optimum == 16
+        assert is_t_deletion_correcting(r.witness, 1)
+
 
 def test_every_dominant_word_has_a_basic_subordinate():
     # dropping dominant words from the search is sound exactly when this holds
@@ -252,6 +260,13 @@ def test_every_dominant_word_has_a_basic_subordinate():
             dominant = {u for u, _ in pairs}
             covered = {u for u, v in pairs if v not in dominant}
             assert covered == dominant, (n, t)
+
+
+def test_build_candidates_rejects_unsound_pruning(monkeypatch):
+    monkeypatch.setattr(search, "_basic_subordinates", lambda n, t: {})
+    with pytest.raises(ValueError, match="unsound"):
+        build_candidates(7, 1, True)
+    assert len(build_candidates(7, 1, False)) == 128
 
 
 class TestRootBound:
@@ -324,6 +339,78 @@ def _brute_max_code(words: list[str], t: int) -> int:
         return max(best(others), 1 + best(apart))
 
     return best(list(range(len(words))))
+
+
+@st.composite
+def _graphs(draw, max_vertices=12):
+    """Adjacency masks of a random graph on 1..max_vertices vertices."""
+    v = draw(st.integers(1, max_vertices))
+    adj = [0] * v
+    for i in range(v):
+        for j in range(i + 1, v):
+            if draw(st.booleans()):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(adj)
+
+
+class TestBranchAndBound:
+    @settings(deadline=None, max_examples=150)
+    @given(_graphs(), st.booleans())
+    def test_three_modes_match_brute_force(self, adj, relabel):
+        v = len(adj)
+        full = (1 << v) - 1
+        independent = [
+            m for m in range(1 << v)
+            if not any(m >> i & 1 and adj[i] & m for i in range(v))
+        ]
+        optimum = max(m.bit_count() for m in independent)
+        to_old = int  # the identity on masks
+        if relabel:
+            labels = _DegreeOrder(adj, full)
+            adj, to_old = labels.adj, labels.to_old
+        none = (1, ())
+        # maximise from an empty incumbent
+        best, chosen, _, done = _solve_exact(adj, full, 0, 0, 0, 0, None, v, none)
+        assert done and best == optimum == chosen.bit_count()
+        assert to_old(chosen) in independent
+        # find a set of size T: incumbent T - 1, cap T
+        for size in range(1, v + 2):
+            best, chosen, _, done = _solve_exact(
+                adj, full, 0, 0, size - 1, 0, None, size, none
+            )
+            assert done and (best >= size) == (size <= optimum)
+            if best >= size:
+                assert to_old(chosen) in independent
+        # the --threads split: each subproblem capped by its bound
+        parts = _split_frontier(adj, full, 0, 0, 0, v, 8)
+        assert optimum == max(
+            _solve_exact(adj, om, size, c, 0, 0, None, min(v, bound), none)[0]
+            for om, size, c, bound in parts
+        )
+        # collect every maximum set, each once
+        found: list[int] = []
+        _solve_exact(adj, full, 0, 0, optimum - 1, 0, None, optimum, none, found)
+        assert sorted(map(to_old, found)) == [
+            m for m in independent if m.bit_count() == optimum
+        ]
+
+    def test_node_counts(self):
+        # expanded pops: 3 523 and 1 010 in degree order; packed labels
+        # (24 899 at t=2 n=9) or a binary branch (65 403, 8 261) fail
+        for (n, t), limit in {(9, 2): 10_000, (7, 1): 2_000}.items():
+            r = max_code_size(SearchConfig(n, t))
+            assert r.exhausted and r.node_count < limit, (n, t, r.node_count)
+
+    def test_collect_pass_at_t1_n7(self):
+        graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 1))
+        labels = _DegreeOrder(graph.adj, open0)
+        found: list[int] = []
+        _, _, _, done = _solve_exact(
+            labels.adj, labels.to_new(open0), size0, labels.to_new(chosen0),
+            15, 0, None, 16, (1, ()), found,
+        )
+        assert done and len(found) == len(set(found)) == 158
 
 
 class TestEnumerateOptimal:
