@@ -10,7 +10,7 @@ report type that diffs generated pairs against the exhaustive enumeration.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .words import (
     Word,
@@ -25,8 +25,7 @@ from .words import (
 BRUTE_FORCE_CAP = 14
 
 
-@dataclass(frozen=True)
-class DominancePair:
+class DominancePair(NamedTuple):
     """Ordered pair (u dominant, v subordinate) at a fixed deletion count."""
 
     u: Word
@@ -65,24 +64,26 @@ def is_dominant(u: Word, v: Word, t: int) -> bool:
 def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """All packed (u, v) with u dominant over v, sorted by (v, u).
 
-    For each v, candidate dominators are the words whose ball holds every
-    member of v's ball, found by intersecting per-member container sets;
-    words with ball distance above t never enter a candidate set.
+    The dominators of v are the words whose ball holds every member of v's
+    ball: the intersection of the members' container sets, which leaves out
+    every word at ball distance above t.  Complement and reversal map balls
+    to balls, so one v per orbit is scanned and each pair found stands for
+    its images under them.
     """
     balls = _ball_table(n, t)
-    holders = _containers(n, t)
-    pairs: list[tuple[int, int]] = []
+    holders = _containers(n, t).__getitem__
+    pairs: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for v in range(1 << n):
-        members = sorted(balls[v])
-        cand = set(holders[members[0]])
-        for w in members[1:]:
-            if len(cand) == 1:
-                break
-            cand &= holders[w]
-        cand.discard(v)
-        for u in sorted(cand):
-            pairs.append((u, v))
-    return tuple(pairs)
+        if v in seen:
+            continue
+        v_images = _images(v, n)
+        seen.update(v_images)
+        cand = frozenset.intersection(*map(holders, balls[v]))
+        for u in cand:
+            if u != v:
+                pairs.update(zip(_images(u, n), v_images))
+    return tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,8 +148,7 @@ _ONE = _e(c=1)
 _TWO = _e(c=2)
 
 
-@dataclass(frozen=True)
-class PatternPair:
+class PatternPair(NamedTuple):
     """One row of a closed-form table: run templates for a dominant pair."""
 
     family: str
@@ -406,8 +406,7 @@ INTERIOR_ROWS = (
 TWO_DELETION_ROWS = SUBSTITUTION_ROWS + OPPOSITE_ENDS_ROWS + INTERIOR_ROWS
 
 
-@dataclass(frozen=True)
-class FilteredInstance:
+class FilteredInstance(NamedTuple):
     """A pattern-row instantiation rejected by the checked constructor."""
 
     source: str
@@ -427,15 +426,14 @@ class FilteredInstance:
         }
 
 
-@dataclass
-class GenerationResult:
+class GenerationResult(NamedTuple):
     """Closed-form pairs with per-pair source tags and rejected instantiations."""
 
     n: int
     t: int
     pairs: list[DominancePair]
     provenance: dict[DominancePair, tuple[str, ...]]
-    filtered: list[FilteredInstance] = field(default_factory=list)
+    filtered: Sequence[FilteredInstance] = ()
 
 
 def generate_closed_form(n: int, t: int) -> list[DominancePair]:
@@ -538,8 +536,7 @@ def equivalence_closure(pairs) -> set[DominancePair]:
     return out
 
 
-@dataclass
-class CharacterizationReport:
+class CharacterizationReport(NamedTuple):
     """Diff between exhaustively enumerated and closed-form-generated pairs."""
 
     n: int

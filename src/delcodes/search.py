@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
 from operator import itemgetter
+from typing import NamedTuple
 
 from .bound import certify, dual_iterates
 from .codes import Code, vt_code
-from .dominance import _dominant_pairs_packed, _dominant_words_packed
-from .words import Word, _ball_packed, _images
+from .dominance import BRUTE_FORCE_CAP, _dominant_pairs_packed, _dominant_words_packed
+from .words import Word, _ball_packed, _ball_table, _images
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
 ENUMERATION_CAP = 7
@@ -33,8 +32,7 @@ class SearchBudgetExceeded(Exception):
     """Raised when enumeration or the canonical witness runs out of time budget."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     n: int
     t: int
     basic_only: bool = True
@@ -60,8 +58,7 @@ class SearchConfig:
             raise ValueError("time budget must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     n: int
     t: int
     optimum: int
@@ -146,9 +143,11 @@ def build_conflict_graph(candidates: list[Word], t: int) -> ConflictGraph:
     if not 1 <= t <= n:
         raise ValueError(f"deletion count {t} out of range 1..{n}")
     verts = tuple(sorted(set(candidates), key=lambda w: w.bits))
+    # a table holds the balls of all 2**n words: too many beyond the scan cap
+    balls = _ball_table(n, t) if n <= BRUTE_FORCE_CAP else None
     sharers: dict[int, list[int]] = {}
     for i, w in enumerate(verts):
-        for member in _ball_packed(w.bits, n, t):
+        for member in balls[w.bits] if balls else _ball_packed(w.bits, n, t):
             sharers.setdefault(member, []).append(i)
     adj = [0] * len(verts)
     for idxs in sharers.values():
@@ -435,6 +434,10 @@ def max_code_size(config: SearchConfig) -> SearchResult:
                 (adj, om, size, chosen, best_size, deadline, min(upper, bound), cliques)
                 for om, size, chosen, bound in subproblems
             ]
+            # imported here: the process pool pulls in multiprocessing, pickle,
+            # socket and logging, which no single-process job needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 for size, chosen, sub_nodes, sub_done in pool.map(_solve_worker, tasks):
                     nodes += sub_nodes
@@ -491,7 +494,7 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
             f"length {config.n} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     deadline = time.monotonic() + config.time_budget if config.time_budget else None
-    base_result = max_code_size(replace(config, canonical_witness=False, workers=1))
+    base_result = max_code_size(config._replace(canonical_witness=False, workers=1))
     if not base_result.exhausted:
         raise SearchBudgetExceeded(
             f"optimum at n={config.n}, t={config.t} not settled within budget"

@@ -305,10 +305,6 @@ def _images(bits: int, n: int) -> tuple[int, int, int, int]:
     return bits, bits ^ mask, r, r ^ mask
 
 
-def _ball1_packed(bits: int, n: int) -> frozenset[int]:
-    return frozenset(_delete_packed(bits, n, i) for i in range(1, n + 1))
-
-
 def _ball_packed(bits: int, n: int, t: int) -> frozenset[int]:
     """Packed values of all distinct subsequences after t deletions."""
     level = {bits}
@@ -323,24 +319,24 @@ def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
     """Deletion balls of every length-n word, indexed by packed value."""
     if t == 0:
         return tuple(frozenset((b,)) for b in range(1 << n))
+    # dropping the symbol above bit s keeps the s bits below it and shifts
+    # the bits above it down by one
+    masks = [((1 << s) - 1, -1 << s) for s in range(n)]
+    ball1 = ({b & lo | (b >> 1) & hi for lo, hi in masks} for b in range(1 << n))
     if t == 1:
-        return tuple(_ball1_packed(b, n) for b in range(1 << n))
-    prev = _ball_table(n - 1, t - 1)
-    out = []
-    for b in range(1 << n):
-        acc: set[int] = set()
-        for x in _ball1_packed(b, n):
-            acc |= prev[x]
-        out.append(frozenset(acc))
-    return tuple(out)
+        return tuple(map(frozenset, ball1))
+    prev = _ball_table(n - 1, t - 1).__getitem__
+    empty: frozenset[int] = frozenset()
+    return tuple([empty.union(*map(prev, d)) for d in ball1])
 
 
 @functools.lru_cache(maxsize=None)
 def _containers(n: int, t: int) -> tuple[frozenset[int], ...]:
     """For each length n-t word, the length-n words whose deletion ball holds it."""
-    balls = _ball_table(n, t)
-    holders: list[set[int]] = [set() for _ in range(1 << (n - t))]
-    for b in range(1 << n):
-        for member in balls[b]:
-            holders[member].add(b)
-    return tuple(frozenset(h) for h in holders)
+    holders: list[list[int]] = [[] for _ in range(1 << (n - t))]
+    for b, ball in enumerate(_ball_table(n, t)):
+        for member in ball:
+            holders[member].append(b)
+    # a frozenset copied from a set gets a table sized to its members;
+    # one grown from a list keeps a table up to twice as large
+    return tuple([frozenset(set(h)) for h in holders])

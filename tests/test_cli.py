@@ -1,9 +1,17 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import delcodes
 from delcodes import Code, is_t_deletion_correcting, vt_code
 from delcodes.cli import main
+
+SRC = str(Path(delcodes.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -329,3 +337,32 @@ class TestJsonDiscipline:
         a, b = json.loads(first), json.loads(second)
         a.pop("wall_time_ms"), b.pop("wall_time_ms")
         assert a == b
+
+
+class TestColdStart:
+    """Each CLI job is a fresh interpreter, so what it imports is paid every time."""
+
+    @staticmethod
+    def python(*args):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        ).stdout
+
+    def test_import_leaves_out_the_process_pool_and_dataclasses(self):
+        out = self.python(
+            "-c", "import delcodes.cli, sys; print(sorted(sys.modules))"
+        )
+        loaded = set(ast.literal_eval(out))
+        assert "delcodes.cli" in loaded
+        for name in ("concurrent.futures", "multiprocessing", "dataclasses"):
+            assert name not in loaded
+
+    def test_threads_import_the_pool_when_needed(self):
+        out = self.python(
+            "-m", "delcodes.cli", "search", "--n", "7", "--t", "1",
+            "--threads", "2", "--json",
+        )
+        doc = json.loads(out)
+        assert doc["optimum"] == 16 and doc["exhausted"]

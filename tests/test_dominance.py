@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -23,11 +24,22 @@ from delcodes import (
     verify_characterization,
     weight,
 )
-from delcodes.dominance import BOUNDARY_SWAP, TWO_DELETION_ROWS
+from delcodes.dominance import (
+    BOUNDARY_SWAP,
+    TWO_DELETION_ROWS,
+    _dominant_pairs_packed,
+)
 
 # counts pinned by the string-based quadratic oracle
 BRUTE_COUNTS_T2 = {3: 42, 4: 88, 5: 134, 6: 182, 7: 232, 8: 284}
 BRUTE_COUNTS_T3 = {4: 210, 5: 550, 6: 984}
+# sha256 of repr(_dominant_pairs_packed(n, t)): the pairs and their order
+PAIR_TABLE_SHA256 = {
+    (12, 1): "e157df96634129e5da5a6f5e3d9715aa77648bb2bc08171435944f879cd1c7a7",
+    (10, 2): "28d0b311c9369fb25f03b68ecb4ed0eeede9732aad864d6fe5baedac7291c54b",
+    (12, 2): "78572a0da5990b9331637db80342b1bf3505ce6f76dc1dc3c0e501cfea179fb3",
+    (11, 3): "28dce6cf053ec34489f1e7adafa215d81a6ebbf47c8482d1c199db4e80ea7667",
+}
 
 
 def pair_strings(pairs):
@@ -102,6 +114,16 @@ class TestEnumeration:
         if t > n:
             return
         assert pair_strings(enumerate_dominant_pairs(n, t)) == ref_dominant_pairs(n, t)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_matches_string_oracle_beyond_the_sampled_lengths(self, n, t):
+        assert pair_strings(enumerate_dominant_pairs(n, t)) == ref_dominant_pairs(n, t)
+
+    @pytest.mark.parametrize("n, t", sorted(PAIR_TABLE_SHA256))
+    def test_pair_table_pinned(self, n, t):
+        digest = hashlib.sha256(repr(_dominant_pairs_packed(n, t)).encode())
+        assert digest.hexdigest() == PAIR_TABLE_SHA256[n, t]
 
     def test_caps(self):
         with pytest.raises(ValueError):

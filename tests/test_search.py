@@ -125,6 +125,15 @@ class TestConflictGraph:
         g = build_conflict_graph([Word("11"), Word("00"), Word("01")], 1)
         assert [str(w) for w in g.vertices] == ["00", "01", "11"]
 
+    def test_long_words_skip_the_ball_table(self, monkeypatch):
+        def no_table(n, t):
+            raise AssertionError(f"ball table of all {1 << n} words built")
+
+        monkeypatch.setattr(search, "_ball_table", no_table)
+        words = [Word("0" * 20), Word("0" * 19 + "1"), Word("0" * 18 + "11")]
+        g = build_conflict_graph(words, 1)
+        assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
+
     def test_unknown_word_rejected(self):
         g = build_conflict_graph([Word("00"), Word("11")], 1)
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from delcodes import (
     run_length_encode,
     weight,
 )
+from delcodes.words import _ball_packed, _ball_table, _containers
 
 
 class TestWordBasics:
@@ -191,6 +192,25 @@ class TestDeletionBall:
         assert set(deletion_ball(complement(w), t).strings()) == {
             s.translate(str.maketrans("01", "10")) for s in ball
         }
+
+
+class TestBallTables:
+    def test_ball_table_matches_per_word_balls(self):
+        for n in range(11):
+            for t in range(min(3, n) + 1):
+                table = _ball_table(n, t)
+                assert len(table) == 1 << n
+                for b in range(1 << n):
+                    assert table[b] == _ball_packed(b, n, t), (n, t, b)
+
+    def test_containers_invert_the_ball_table(self):
+        for n in range(11):
+            for t in range(min(3, n) + 1):
+                inverse = [set() for _ in range(1 << (n - t))]
+                for b, ball in enumerate(_ball_table(n, t)):
+                    for y in ball:
+                        inverse[y].add(b)
+                assert _containers(n, t) == tuple(map(frozenset, inverse)), (n, t)
 
 
 class TestSubsequence:
