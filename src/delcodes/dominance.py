@@ -18,6 +18,7 @@ from .words import (
     _ball_packed,
     _ball_table,
     _containers,
+    _gc_paused,
     _images,
     _lcs_packed,
 )
@@ -61,6 +62,7 @@ def is_dominant(u: Word, v: Word, t: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
+@_gc_paused
 def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """All packed (u, v) with u dominant over v, sorted by (v, u).
 

@@ -251,7 +251,26 @@ def _solve_exact(
     cliques: tuple[int, tuple[tuple[int, int], ...]],
     found: list[int] | None = None,
 ) -> tuple[int, int, int, bool]:
-    """Exact max independent set extension of (base_size, base_chosen).
+    """Exact max independent set extension of (base_size, base_chosen): the
+    search of _solve_stack from that single root."""
+    return _solve_stack(
+        adj, [(open_mask, base_size, base_chosen, cap)], best_size, best_chosen,
+        deadline, cap, cliques, found,
+    )
+
+
+def _solve_stack(
+    adj: tuple[int, ...],
+    stack: list[tuple[int, int, int, int]],
+    best_size: int,
+    best_chosen: int,
+    deadline: float | None,
+    cap: int,
+    cliques: tuple[int, tuple[tuple[int, int], ...]],
+    found: list[int] | None = None,
+) -> tuple[int, int, int, bool]:
+    """Exact max independent set over the subproblems (open mask, size,
+    chosen, bound) on the stack, the last popped first.
 
     Branch-and-reduce: open vertices whose open neighbourhood is a clique of
     size 0, 1, or 2 belong to some maximum solution and are taken outright.
@@ -267,16 +286,16 @@ def _solve_exact(
     The same loop serves three modes.  Maximise: best_size is an incumbent
     and cap a proved bound.  Find a solution of size T: best_size T - 1 and
     cap T.  Collect every solution of size T, the optimum: best_size T - 1
-    and a list `found`, to which each solution is appended exactly once;
-    best_size then stays fixed, and the reductions are skipped because they
-    keep only one of several optima.
+    and a list `found`, to which each solution is appended once for every
+    subproblem that holds it; best_size then stays fixed, and the
+    reductions are skipped because they keep only one of several optima.
+    The stack is consumed.
 
     Any vertex labelling is correct; the order of the labels decides the
     partitions and so the size of the tree.
     """
     unit, containers = cliques
     nodes = 0
-    stack = [(open_mask, base_size, base_chosen, cap)]
     while stack:
         if best_size >= cap:
             break
@@ -342,18 +361,15 @@ def _solve_worker(args) -> tuple[int, int, int, bool]:
 
 def _split_frontier(
     adj: tuple[int, ...],
-    open_mask: int,
-    base_size: int,
-    base_chosen: int,
+    roots: list[tuple[int, int, int, int]],
     best_size: int,
-    cap: int,
     target: int,
 ) -> list[tuple[int, int, int, int]]:
-    """Expand the root into at least `target` subproblems (open mask, size,
-    chosen, bound), the node with the most open vertices first, each into
-    its colour-ordered children.  A node's own solution needs no entry: one
-    of its children is larger."""
-    frontier = [(open_mask, base_size, base_chosen, cap)]
+    """Expand the subproblems (open mask, size, chosen, bound) in `roots`
+    into at least `target`, the node with the most open vertices first,
+    each into its colour-ordered children.  A node's own solution needs no
+    entry: one of its children is larger."""
+    frontier = list(roots)
     while len(frontier) < target:
         expandable = [f for f in frontier if f[0]]
         if not expandable:
@@ -363,6 +379,59 @@ def _split_frontier(
         om, size, chosen, _ = node
         frontier += _children(adj, om, size, chosen, best_size)
     return frontier
+
+
+def _symmetry_perms(graph: ConflictGraph, label: list[int]) -> tuple[list[int], ...]:
+    """Complement, reversal and reverse complement as permutations of the
+    vertex labels, where label[i] is the label of packed-order vertex i.
+    They are automorphisms of every search graph: the dominance relation
+    commutes with them, so the candidates, the forced words and the
+    conflicts are all mapped onto themselves."""
+    n = graph.word_length
+    index = graph._index
+    perms: tuple[list[int], ...] = tuple([0] * len(graph) for _ in range(3))
+    for i, w in enumerate(graph.vertices):
+        for perm, image in zip(perms, _images(w.bits, n)[1:]):
+            perm[label[i]] = label[index[image]]
+    return perms
+
+
+def _orbit_roots(
+    adj: tuple[int, ...],
+    open_mask: int,
+    size: int,
+    chosen: int,
+    cap: int,
+    perms: tuple[list[int], ...],
+) -> list[tuple[int, int, int, int]]:
+    """Orbital branching at the root: subproblems (open mask, size, chosen,
+    bound) for _solve_stack that hold an image of every solution.
+
+    `perms` are the non-identity members of a group of automorphisms that
+    maps the open vertices onto themselves.  The open orbits O_1, O_2, ...
+    are taken in descending label order of their first vertex v_i; entry i
+    takes v_i and keeps open the vertices outside O_1 ... O_{i-1} and the
+    closed neighbourhood of v_i, the rest of O_i among them.  A solution
+    whose first orbit met is O_i has an image through v_i, and that image
+    avoids the earlier orbits, so it lies in entry i and in no other.  With
+    no open vertex the root itself is the only entry.  Entry 1 holds the
+    most open vertices and pops first."""
+    if not open_mask:
+        return [(0, size, chosen, cap)]
+    roots = []
+    earlier = 0
+    rem = open_mask
+    while rem:
+        v = rem.bit_length() - 1
+        bit = 1 << v
+        orbit = bit
+        for perm in perms:
+            orbit |= 1 << perm[v]
+        roots.append((open_mask & ~earlier & ~adj[v] & ~bit, size + 1, chosen | bit, cap))
+        earlier |= orbit
+        rem &= ~orbit
+    roots.reverse()
+    return roots
 
 
 class _DegreeOrder:
@@ -419,15 +488,16 @@ def max_code_size(config: SearchConfig) -> SearchResult:
         adj = labels.adj
         open0, chosen0, best_chosen = map(labels.to_new, (open0, chosen0, best_chosen))
         cliques = unit, tuple((labels.to_new(m), w) for m, w in containers)
+        if searching:
+            # some image of every code under the symmetries lies in the roots
+            perms = _symmetry_perms(graph, labels.label)
+            roots = _orbit_roots(adj, open0, size0, chosen0, upper, perms)
         if searching and (config.workers == 1 or len(graph) <= 4):
-            best_size, best_chosen, nodes, exhausted = _solve_exact(
-                adj, open0, size0, chosen0, best_size, best_chosen, deadline,
-                upper, cliques,
+            best_size, best_chosen, nodes, exhausted = _solve_stack(
+                adj, roots, best_size, best_chosen, deadline, upper, cliques
             )
         elif searching:
-            subproblems = _split_frontier(
-                adj, open0, size0, chosen0, best_size, upper, 4 * config.workers
-            )
+            subproblems = _split_frontier(adj, roots, best_size, 4 * config.workers)
             exhausted = True
             # no solution in a subproblem beats its bound, so that caps its worker
             tasks = [
@@ -503,10 +573,15 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
 
     graph, open0, size0, chosen0 = _prepare(config)
     labels = _DegreeOrder(graph.adj, open0)
+    # one image of every optimum suffices: the classes are orbits, and the
+    # dominant words are mapped onto themselves
+    roots = _orbit_roots(
+        labels.adj, labels.to_new(open0), size0, labels.to_new(chosen0), optimum,
+        _symmetry_perms(graph, labels.label),
+    )
     found: list[int] = []
-    *_, exhausted = _solve_exact(
-        labels.adj, labels.to_new(open0), size0, labels.to_new(chosen0),
-        optimum - 1, 0, deadline, optimum, (1, ()), found,
+    *_, exhausted = _solve_stack(
+        labels.adj, roots, optimum - 1, 0, deadline, optimum, (1, ()), found
     )
     if not exhausted:
         raise SearchBudgetExceeded(

@@ -9,6 +9,7 @@ here are pure; words and word sets are immutable and safe to share.
 from __future__ import annotations
 
 import functools
+import gc
 from typing import Iterable, Iterator
 
 MAX_LEN = 62
@@ -314,7 +315,28 @@ def _ball_packed(bits: int, n: int, t: int) -> frozenset[int]:
     return frozenset(level)
 
 
+def _gc_paused(fn):
+    """Run fn with the cyclic collector paused, then restore its state.
+
+    The tables hold only ints in frozensets and tuples, which form no
+    cycles, yet the collections that building them triggers walk every
+    frozenset built so far."""
+
+    @functools.wraps(fn)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 @functools.lru_cache(maxsize=None)
+@_gc_paused
 def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
     """Deletion balls of every length-n word, indexed by packed value."""
     if t == 0:
@@ -331,6 +353,7 @@ def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
 
 
 @functools.lru_cache(maxsize=None)
+@_gc_paused
 def _containers(n: int, t: int) -> tuple[frozenset[int], ...]:
     """For each length n-t word, the length-n words whose deletion ball holds it."""
     holders: list[list[int]] = [[] for _ in range(1 << (n - t))]

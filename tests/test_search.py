@@ -26,14 +26,18 @@ from delcodes.bound import certify, dual_iterates
 from delcodes.dominance import _dominant_pairs_packed
 from delcodes.search import (
     SEARCH_CAPS,
+    _bits_of,
     _canonical_witness,
     _cover_bound,
     _DegreeOrder,
     _initial_incumbent,
+    _orbit_roots,
     _prepare,
     _root_bound,
     _solve_exact,
+    _solve_stack,
     _split_frontier,
+    _symmetry_perms,
 )
 
 EXAMPLE_CODE = Code(["00000", "11111", "00011", "11000", "10101", "01110"])
@@ -392,7 +396,7 @@ class TestBranchAndBound:
             if best >= size:
                 assert to_old(chosen) in independent
         # the --threads split: each subproblem capped by its bound
-        parts = _split_frontier(adj, full, 0, 0, 0, v, 8)
+        parts = _split_frontier(adj, [(full, 0, 0, v)], 0, 8)
         assert optimum == max(
             _solve_exact(adj, om, size, c, 0, 0, None, min(v, bound), none)[0]
             for om, size, c, bound in parts
@@ -405,9 +409,11 @@ class TestBranchAndBound:
         ]
 
     def test_node_counts(self):
-        # expanded pops: 3 523 and 1 010 in degree order; packed labels
-        # (24 899 at t=2 n=9) or a binary branch (65 403, 8 261) fail
-        for (n, t), limit in {(9, 2): 10_000, (7, 1): 2_000}.items():
+        # expanded pops: 2 328 and 449 from the orbit roots in degree order;
+        # the plain root (3 523, 1 010), the orbit chain popped last first
+        # (2 911 at t=2 n=9), packed labels (24 899 at t=2 n=9) or a binary
+        # branch (65 403, 8 261) fail
+        for (n, t), limit in {(9, 2): 2_600, (7, 1): 550}.items():
             r = max_code_size(SearchConfig(n, t))
             assert r.exhausted and r.node_count < limit, (n, t, r.node_count)
 
@@ -420,6 +426,120 @@ class TestBranchAndBound:
             15, 0, None, 16, (1, ()), found,
         )
         assert done and len(found) == len(set(found)) == 158
+
+
+@st.composite
+def _symmetric_graphs(draw, max_vertices=12):
+    """A random graph on 1..max_vertices vertices, a random involution of
+    its vertices that is an automorphism, and an open set that the
+    involution maps onto itself (possibly empty)."""
+    v = draw(st.integers(1, max_vertices))
+    order = draw(st.permutations(range(v)))
+    sigma = list(range(v))
+    for k in range(draw(st.integers(0, v // 2))):
+        a, b = order[2 * k], order[2 * k + 1]
+        sigma[a], sigma[b] = b, a
+    adj = [0] * v
+    for i in range(v):
+        for j in range(i + 1, v):
+            # one draw per edge orbit {ij, sigma(i)sigma(j)}
+            if (i, j) <= tuple(sorted((sigma[i], sigma[j]))) and draw(st.booleans()):
+                for a, b in ((i, j), (sigma[i], sigma[j])):
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+    open_mask = 0
+    for i in range(v):
+        if i <= sigma[i] and draw(st.booleans()):
+            open_mask |= 1 << i | 1 << sigma[i]
+    return tuple(adj), sigma, open_mask
+
+
+def _image(perm: list[int], mask: int) -> int:
+    return sum(1 << perm[i] for i in _bits_of(mask))
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("t", sorted(SEARCH_CAPS))
+    def test_symmetries_are_automorphisms(self, t):
+        # every search graph within the caps, under all four flag pairs
+        for n in range(t + 1, SEARCH_CAPS[t] + 1):
+            for basic_only in (True, False):
+                graph, *_ = _prepare(SearchConfig(n, t, basic_only))
+                ident = list(range(len(graph)))
+                complement, reverse, both = _symmetry_perms(graph, ident)
+                assert [reverse[i] for i in complement] == both
+                neighbours = [frozenset(_bits_of(m)) for m in graph.adj]
+                # the two generators suffice, and each is a bijection
+                for perm in (complement, reverse):
+                    assert sorted(perm) == ident
+                    image = perm.__getitem__
+                    assert all(
+                        frozenset(map(image, nb)) == neighbours[perm[v]]
+                        for v, nb in enumerate(neighbours)
+                    ), (n, t, basic_only)
+                for force in (True, False):
+                    config = SearchConfig(n, t, basic_only, force)
+                    _, open0, _, chosen0 = _prepare(config)
+                    for perm in (complement, reverse):
+                        assert _image(perm, open0) == open0, config
+                        assert _image(perm, chosen0) == chosen0, config
+
+    def test_perms_follow_the_labels(self):
+        graph, open0, *_ = _prepare(SearchConfig(7, 1))
+        labels = _DegreeOrder(graph.adj, open0)
+        packed = _symmetry_perms(graph, list(range(len(graph))))
+        relabelled = _symmetry_perms(graph, labels.label)
+        for old, new in zip(packed, relabelled):
+            assert all(
+                new[labels.label[i]] == labels.label[old[i]] for i in range(len(graph))
+            )
+            assert _image(new, labels.to_new(open0)) == labels.to_new(open0)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_symmetric_graphs())
+    def test_orbit_roots_match_brute_force(self, graph):
+        adj, sigma, om = graph
+        v = len(adj)
+        independent = [
+            m for m in range(1 << v)
+            if not m & ~om and not any(m >> i & 1 and adj[i] & m for i in range(v))
+        ]
+        optimum = max(m.bit_count() for m in independent)
+        none = (1, ())
+        roots = _orbit_roots(adj, om, 0, 0, v, [sigma])
+        if not om:
+            assert roots == [(0, 0, 0, v)]
+        # maximise from an empty incumbent
+        best, chosen, _, done = _solve_stack(adj, list(roots), 0, 0, None, v, none)
+        assert done and best == optimum == chosen.bit_count()
+        assert chosen in independent
+        # the --threads split of the roots
+        parts = _split_frontier(adj, roots, 0, 8)
+        assert optimum == max(
+            _solve_exact(adj, m, size, c, 0, 0, None, min(v, bound), none)[0]
+            for m, size, c, bound in parts
+        )
+        # collect reaches every orbit of maximum sets, each set at most once
+        found: list[int] = []
+        _solve_stack(adj, list(roots), optimum - 1, 0, None, optimum, none, found)
+        maximum = {m for m in independent if m.bit_count() == optimum}
+        assert len(found) == len(set(found)) and set(found) <= maximum
+        assert {min(m, _image(sigma, m)) for m in found} == {
+            min(m, _image(sigma, m)) for m in maximum
+        }
+
+    def test_empty_open_root_is_collected(self):
+        # t=3 n=7: the forced words block every other word and are optimal
+        graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 3))
+        assert open0 == 0 and size0 == KNOWN_OPTIMA[3, 7]
+        perms = _symmetry_perms(graph, list(range(len(graph))))
+        roots = _orbit_roots(graph.adj, open0, size0, chosen0, size0, perms)
+        assert roots == [(0, size0, chosen0, size0)]
+        found: list[int] = []
+        *_, done = _solve_stack(
+            graph.adj, roots, size0 - 1, 0, None, size0, (1, ()), found
+        )
+        assert done and found == [chosen0]
 
 
 class TestEnumerateOptimal:
@@ -449,7 +569,7 @@ class TestEnumerateOptimal:
                 assert not are_equivalent(codes[i], codes[j])
 
     def test_flag_independent(self):
-        for n, t in [(5, 1), (6, 1), (6, 2)]:
+        for n, t in [(5, 1), (6, 1), (6, 2), (7, 1)]:
             base = enumerate_optimal_codes(SearchConfig(n, t))
             alt = enumerate_optimal_codes(
                 SearchConfig(n, t, basic_only=False, force_constants=False)
@@ -459,7 +579,8 @@ class TestEnumerateOptimal:
     def test_class_counts(self):
         # the degree-1/2 reductions keep one optimum of several: run while
         # collecting, they drop classes (20 -> 15 at t=2, n=7)
-        for (n, t), count in {(6, 1): 3, (6, 2): 2, (7, 2): 20, (7, 3): 1}.items():
+        counts = {(6, 1): 3, (7, 1): 46, (6, 2): 2, (7, 2): 20, (7, 3): 1}
+        for (n, t), count in counts.items():
             assert len(enumerate_optimal_codes(SearchConfig(n, t))) == count, (n, t)
 
     def test_requires_enumerate_flag_and_cap(self):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from delcodes import (
     run_length_encode,
     weight,
 )
-from delcodes.words import _ball_packed, _ball_table, _containers
+from delcodes.words import _ball_packed, _ball_table, _containers, _gc_paused
 
 
 class TestWordBasics:
@@ -211,6 +213,21 @@ class TestBallTables:
                     for y in ball:
                         inverse[y].add(b)
                 assert _containers(n, t) == tuple(map(frozenset, inverse)), (n, t)
+
+    def test_builds_pause_the_collector_and_restore_it(self):
+        assert _gc_paused(gc.isenabled)() is False
+        was = gc.isenabled()
+        try:
+            for state in (True, False):
+                (gc.enable if state else gc.disable)()
+                # the uncached builds, on success and on error
+                _ball_table.__wrapped__(5, 2)
+                assert gc.isenabled() is state
+                with pytest.raises(ValueError):
+                    _containers.__wrapped__(-1, 1)
+                assert gc.isenabled() is state
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestSubsequence:
