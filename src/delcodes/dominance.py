@@ -18,7 +18,7 @@ from .words import (
     _ball_packed,
     _ball_table,
     _containers,
-    _gc_paused,
+    _frozen_table,
     _images,
     _lcs_packed,
 )
@@ -62,7 +62,7 @@ def is_dominant(u: Word, v: Word, t: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-@_gc_paused
+@_frozen_table
 def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """All packed (u, v) with u dominant over v, sorted by (v, u).
 
@@ -89,6 +89,7 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
 
 
 @functools.lru_cache(maxsize=None)
+@_frozen_table
 def _dominant_words_packed(n: int, t: int) -> frozenset[int]:
     """Packed words that dominate at least one other word."""
     return frozenset(u for u, _ in _dominant_pairs_packed(n, t))

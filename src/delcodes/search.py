@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .bound import certify, dual_iterates
 from .codes import Code, vt_code
 from .dominance import BRUTE_FORCE_CAP, _dominant_pairs_packed, _dominant_words_packed
-from .words import Word, _ball_packed, _ball_table, _images
+from .words import Word, _ball_packed, _ball_table, _frozen_table, _images
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
 ENUMERATION_CAP = 7
@@ -630,6 +630,7 @@ def _initial_incumbent(
 
 
 @functools.lru_cache(maxsize=None)
+@_frozen_table
 def _basic_subordinates(n: int, t: int) -> dict[int, int]:
     """For each dominant word, its smallest subordinate that is not dominant."""
     dominant = _dominant_words_packed(n, t)

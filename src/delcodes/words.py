@@ -315,28 +315,34 @@ def _ball_packed(bits: int, n: int, t: int) -> frozenset[int]:
     return frozenset(level)
 
 
-def _gc_paused(fn):
-    """Run fn with the cyclic collector paused, then restore its state.
+def _frozen_table(fn):
+    """Build a table with the cyclic collector paused, freeze it on success,
+    then restore the collector's state.
 
-    The tables hold only ints in frozensets and tuples, which form no
-    cycles, yet the collections that building them triggers walk every
-    frozenset built so far."""
+    The tables hold only ints in frozensets, tuples and dicts, which form no
+    cycles, and live as long as the process, yet every collection pass, up
+    to the one at interpreter exit, would walk their members.  `gc.freeze()`
+    moves them, and every other object tracked at that moment, to the
+    permanent generation, which no pass walks.  So an object alive at a
+    build that later becomes cyclic garbage is never collected."""
 
     @functools.wraps(fn)
-    def paused(*args):
+    def frozen(*args):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return fn(*args)
+            table = fn(*args)
+            gc.freeze()
+            return table
         finally:
             if enabled:
                 gc.enable()
 
-    return paused
+    return frozen
 
 
 @functools.lru_cache(maxsize=None)
-@_gc_paused
+@_frozen_table
 def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
     """Deletion balls of every length-n word, indexed by packed value."""
     if t == 0:
@@ -353,7 +359,7 @@ def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-@_gc_paused
+@_frozen_table
 def _containers(n: int, t: int) -> tuple[frozenset[int], ...]:
     """For each length n-t word, the length-n words whose deletion ball holds it."""
     holders: list[list[int]] = [[] for _ in range(1 << (n - t))]

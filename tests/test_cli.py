@@ -366,3 +366,17 @@ class TestColdStart:
         )
         doc = json.loads(out)
         assert doc["optimum"] == 16 and doc["exhausted"]
+
+    def test_pair_tables_leave_the_collected_generations(self):
+        # a fresh process, so no earlier freeze can hide a missing one
+        out = self.python(
+            "-c",
+            "import gc\n"
+            "from delcodes.dominance import _dominant_pairs_packed\n"
+            "from delcodes.words import _ball_table\n"
+            "_dominant_pairs_packed(10, 2)\n"
+            "tracked = {id(o) for o in gc.get_objects()}\n"
+            "balls = _ball_table(10, 2)\n"
+            "print(len(balls), sum(id(b) in tracked for b in balls))",
+        )
+        assert out.split() == ["1024", "0"]

@@ -23,7 +23,7 @@ from delcodes import (
     run_length_encode,
     weight,
 )
-from delcodes.words import _ball_packed, _ball_table, _containers, _gc_paused
+from delcodes.words import _ball_packed, _ball_table, _containers, _frozen_table
 
 
 class TestWordBasics:
@@ -215,14 +215,19 @@ class TestBallTables:
                 assert _containers(n, t) == tuple(map(frozenset, inverse)), (n, t)
 
     def test_builds_pause_the_collector_and_restore_it(self):
-        assert _gc_paused(gc.isenabled)() is False
+        assert _frozen_table(gc.isenabled)() is False
         was = gc.isenabled()
         try:
             for state in (True, False):
                 (gc.enable if state else gc.disable)()
                 # the uncached builds, on success and on error
-                _ball_table.__wrapped__(5, 2)
+                frozen = gc.get_freeze_count()
+                table = _ball_table.__wrapped__(5, 2)
                 assert gc.isenabled() is state
+                # the new table sits in the permanent generation
+                assert gc.get_freeze_count() > frozen
+                tracked = {id(o) for o in gc.get_objects()}
+                assert not any(id(ball) in tracked for ball in table)
                 with pytest.raises(ValueError):
                     _containers.__wrapped__(-1, 1)
                 assert gc.isenabled() is state
