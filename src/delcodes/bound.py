@@ -59,7 +59,8 @@ def dual_iterates(graph, open_mask: int) -> Iterator[list[float]]:
     n, t = graph.word_length, graph.t
     m = n - t
     balls = _ball_table(n, t)
-    vertices = [x for _, x in _open_words(graph, open_mask)]
+    # in packed order, so that the columns do not follow the vertex labels
+    vertices = sorted(x for _, x in _open_words(graph, open_mask))
     x_orbit, x_sizes = _orbit_index(vertices, n)
     y_orbit, y_sizes = _orbit_index(
         sorted({y for x in vertices for y in balls[x]}), m

@@ -15,8 +15,8 @@ dominated words and pre-selecting the two constant words.
 from __future__ import annotations
 
 import functools
+import os
 import time
-from operator import itemgetter
 from typing import NamedTuple
 
 from .bound import certify, dual_iterates
@@ -54,7 +54,8 @@ class SearchConfig(NamedTuple):
             )
         if self.workers < 1:
             raise ValueError("worker count must be positive")
-        if self.time_budget < 0:
+        # also false for NaN, with which every comparison fails
+        if not self.time_budget >= 0:
             raise ValueError("time budget must be nonnegative")
 
 
@@ -142,7 +143,12 @@ def build_conflict_graph(candidates: list[Word], t: int) -> ConflictGraph:
             raise ValueError(f"candidate length {w.n} differs from {n}")
     if not 1 <= t <= n:
         raise ValueError(f"deletion count {t} out of range 1..{n}")
-    verts = tuple(sorted(set(candidates), key=lambda w: w.bits))
+    return _graph_on(tuple(sorted(set(candidates), key=lambda w: w.bits)), t)
+
+
+def _graph_on(verts: tuple[Word, ...], t: int) -> ConflictGraph:
+    """Graph over distinct words of one length, vertex i being verts[i]."""
+    n = verts[0].n
     # a table holds the balls of all 2**n words: too many beyond the scan cap
     balls = _ball_table(n, t) if n <= BRUTE_FORCE_CAP else None
     sharers: dict[int, list[int]] = {}
@@ -218,21 +224,24 @@ def _children(
     return out
 
 
-def _greedy_independent(open_mask: int, adj: tuple[int, ...]) -> tuple[int, int]:
-    """Deterministic min-degree greedy; returns (size, chosen_mask)."""
+def _greedy_independent(
+    open_mask: int, adj: tuple[int, ...], rank: list[int]
+) -> tuple[int, int]:
+    """Deterministic min-degree greedy, ties to the least rank; returns
+    (size, chosen_mask)."""
     size = 0
     chosen = 0
     while open_mask:
         best_v = -1
-        best_deg = -1
+        best_deg = best_rank = 0
         rem = open_mask
         while rem:
             low = rem & -rem
             v = low.bit_length() - 1
             rem ^= low
             deg = (adj[v] & open_mask).bit_count()
-            if best_v < 0 or deg < best_deg:
-                best_v, best_deg = v, deg
+            if best_v < 0 or deg < best_deg or deg == best_deg and rank[v] < best_rank:
+                best_v, best_deg, best_rank = v, deg, rank[v]
         chosen |= 1 << best_v
         size += 1
         open_mask &= ~(adj[best_v] | (1 << best_v))
@@ -381,18 +390,17 @@ def _split_frontier(
     return frontier
 
 
-def _symmetry_perms(graph: ConflictGraph, label: list[int]) -> tuple[list[int], ...]:
+def _symmetry_perms(graph: ConflictGraph) -> tuple[list[int], ...]:
     """Complement, reversal and reverse complement as permutations of the
-    vertex labels, where label[i] is the label of packed-order vertex i.
-    They are automorphisms of every search graph: the dominance relation
-    commutes with them, so the candidates, the forced words and the
-    conflicts are all mapped onto themselves."""
+    vertex labels.  They are automorphisms of every search graph: the
+    dominance relation commutes with them, so the candidates, the forced
+    words and the conflicts are all mapped onto themselves."""
     n = graph.word_length
     index = graph._index
     perms: tuple[list[int], ...] = tuple([0] * len(graph) for _ in range(3))
     for i, w in enumerate(graph.vertices):
         for perm, image in zip(perms, _images(w.bits, n)[1:]):
-            perm[label[i]] = label[index[image]]
+            perm[i] = index[image]
     return perms
 
 
@@ -434,69 +442,27 @@ def _orbit_roots(
     return roots
 
 
-class _DegreeOrder:
-    """Labels for _solve_exact: vertices by ascending open degree at the
-    root, ties by packed value.
-
-    Greedy clique partitions in this order grow each class from the vertices
-    with the fewest conflicts (the order of MCQ, Tomita et al., seen from the
-    complement graph), which keeps the search tree small.  A mask crosses
-    between the labellings as its bit string, permuted by one itemgetter
-    call: on the dense t = 3 graphs that is about eight times faster than
-    moving the bits one by one, though it costs O(vertices) per mask."""
-
-    def __init__(self, adj: tuple[int, ...], open_mask: int):
-        width = len(adj)
-        order = sorted(
-            range(width), key=lambda i: ((adj[i] & open_mask).bit_count(), i)
-        )
-        # the new label of each vertex, in packed order
-        self.label = [0] * width
-        for new, old in enumerate(order):
-            self.label[old] = new
-        # format() puts bit i at string position width - 1 - i
-        self._fmt = f"0{width}b"
-        self._in = itemgetter(*[width - 1 - order[width - 1 - j] for j in range(width)])
-        self._out = itemgetter(
-            *[width - 1 - self.label[width - 1 - j] for j in range(width)]
-        )
-        self.adj = tuple(self.to_new(adj[old]) for old in order)
-
-    def to_new(self, mask: int) -> int:
-        return int("".join(self._in(format(mask, self._fmt))), 2)
-
-    def to_old(self, mask: int) -> int:
-        return int("".join(self._out(format(mask, self._fmt))), 2)
-
-
 def max_code_size(config: SearchConfig) -> SearchResult:
     """Exact maximum cardinality of a t-deletion-correcting code of length n."""
     config.validate()
     start = time.monotonic()
     deadline = start + config.time_budget if config.time_budget else None
     graph, open0, size0, chosen0 = _prepare(config)
+    adj = graph.adj
 
     best_size, best_chosen = _initial_incumbent(graph, open0, size0, chosen0)
-    upper, (unit, containers) = _root_bound(graph, open0, size0, deadline)
+    upper, cliques = _root_bound(graph, open0, size0, deadline)
 
     nodes, exhausted = 0, best_size >= upper
     # nothing is searched once the root bound has spent the budget
-    searching = not exhausted and (deadline is None or time.monotonic() <= deadline)
-    if searching or exhausted and config.canonical_witness:
-        # the search runs on degree-ordered labels; masks are mapped only here
-        labels = _DegreeOrder(graph.adj, open0)
-        adj = labels.adj
-        open0, chosen0, best_chosen = map(labels.to_new, (open0, chosen0, best_chosen))
-        cliques = unit, tuple((labels.to_new(m), w) for m, w in containers)
-        if searching:
-            # some image of every code under the symmetries lies in the roots
-            perms = _symmetry_perms(graph, labels.label)
-            roots = _orbit_roots(adj, open0, size0, chosen0, upper, perms)
-        if searching and (config.workers == 1 or len(graph) <= 4):
+    if not exhausted and (deadline is None or time.monotonic() <= deadline):
+        # some image of every code under the symmetries lies in the roots
+        roots = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
+        if config.workers == 1 or len(graph) <= 4:
             best_size, best_chosen, nodes, exhausted = _solve_stack(
                 adj, roots, best_size, best_chosen, deadline, upper, cliques
             )
-        elif searching:
+        else:
             subproblems = _split_frontier(adj, roots, best_size, 4 * config.workers)
             exhausted = True
             # no solution in a subproblem beats its bound, so that caps its worker
@@ -508,17 +474,19 @@ def max_code_size(config: SearchConfig) -> SearchResult:
             # socket and logging, which no single-process job needs
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            # the pool forks all its processes at the first submit
+            procs = max(1, min(config.workers, len(tasks), os.cpu_count() or 1))
+            with ProcessPoolExecutor(max_workers=procs) as pool:
                 for size, chosen, sub_nodes, sub_done in pool.map(_solve_worker, tasks):
                     nodes += sub_nodes
                     exhausted = exhausted and sub_done
                     if size > best_size or (size == best_size and chosen):
                         best_size, best_chosen = size, chosen
-        if config.canonical_witness and exhausted:
-            best_chosen = _canonical_witness(
-                adj, open0, size0, chosen0, best_size, deadline, cliques, labels.label
-            )
-        best_chosen = labels.to_old(best_chosen)
+    if config.canonical_witness and exhausted:
+        best_chosen = _canonical_witness(
+            adj, open0, size0, chosen0, best_size, deadline, cliques,
+            sorted(range(len(graph)), key=lambda i: graph.vertices[i].bits),
+        )
 
     witness = Code([graph.vertices[i] for i in _bits_of(best_chosen)])
     return SearchResult(
@@ -572,16 +540,14 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     optimum = base_result.optimum
 
     graph, open0, size0, chosen0 = _prepare(config)
-    labels = _DegreeOrder(graph.adj, open0)
     # one image of every optimum suffices: the classes are orbits, and the
     # dominant words are mapped onto themselves
     roots = _orbit_roots(
-        labels.adj, labels.to_new(open0), size0, labels.to_new(chosen0), optimum,
-        _symmetry_perms(graph, labels.label),
+        graph.adj, open0, size0, chosen0, optimum, _symmetry_perms(graph)
     )
     found: list[int] = []
     *_, exhausted = _solve_stack(
-        labels.adj, roots, optimum - 1, 0, deadline, optimum, (1, ()), found
+        graph.adj, roots, optimum - 1, 0, deadline, optimum, (1, ()), found
     )
     if not exhausted:
         raise SearchBudgetExceeded(
@@ -592,9 +558,7 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     dominant = _dominant_words_packed(n, config.t)
     keys: set[tuple[int, ...]] = set()
     for chosen in found:
-        orbits = [
-            _images(graph.vertices[i].bits, n) for i in _bits_of(labels.to_old(chosen))
-        ]
+        orbits = [_images(graph.vertices[i].bits, n) for i in _bits_of(chosen)]
         if any(o[0] in dominant for o in orbits):
             continue
         # least sorted image; packed order is string order at one length
@@ -608,8 +572,8 @@ def _initial_incumbent(
     """Strong deterministic starting solution: min-degree greedy extension of
     the root state, improved for single deletions by the best checksum-residue
     code, its pruned words replaced by candidate subordinates."""
-    adj = graph.adj
-    size, chosen = _greedy_independent(open0, adj)
+    rank = [w.bits for w in graph.vertices]
+    size, chosen = _greedy_independent(open0, graph.adj, rank)
     best_size, best_chosen = size + size0, chosen | chosen0
     if graph.t == 1:
         n = graph.word_length
@@ -642,23 +606,39 @@ def _basic_subordinates(n: int, t: int) -> dict[int, int]:
 
 
 def _prepare(config: SearchConfig):
-    """Candidate graph plus the root state (open mask, chosen size and mask)."""
+    """Candidate graph in search order plus the root state (open mask, chosen
+    size and mask).
+
+    The vertices ascend by open degree at the root, ties by packed value.
+    Greedy clique partitions in this order grow each class from the vertices
+    with the fewest conflicts (the order of MCQ, Tomita et al., seen from the
+    complement graph), which keeps the search tree small."""
     candidates = build_candidates(config.n, config.t, config.basic_only)
-    graph = build_conflict_graph(candidates, config.t)
+    packed = build_conflict_graph(candidates, config.t)
+    adj = packed.adj
+    open0, _ = _root_state(packed, config.force_constants)
+    order = sorted(range(len(packed)), key=lambda i: ((adj[i] & open0).bit_count(), i))
+    graph = _graph_on(tuple(packed.vertices[i] for i in order), config.t)
+    open0, forced = _root_state(graph, config.force_constants)
+    return graph, open0, forced.bit_count(), forced
+
+
+def _root_state(graph: ConflictGraph, force_constants: bool) -> tuple[int, int]:
+    """Open and chosen masks at the root: forcing takes the two constant
+    words and closes their conflicts."""
     all_mask = (1 << len(graph)) - 1
-    if not config.force_constants:
-        return graph, all_mask, 0, 0
-    forced_words = (Word.zeros(config.n), Word.ones(config.n))
+    if not force_constants:
+        return all_mask, 0
+    n = graph.word_length
     forced = 0
     blocked = 0
-    for w in forced_words:
+    for w in (Word.zeros(n), Word.ones(n)):
         i = graph.index_of(w)
         if forced & graph.adj[i]:
             raise ValueError("forced vertices conflict with each other")
         forced |= 1 << i
         blocked |= graph.adj[i]
-    open0 = all_mask & ~forced & ~blocked
-    return graph, open0, forced.bit_count(), forced
+    return all_mask & ~forced & ~blocked, forced
 
 
 def _canonical_witness(
@@ -669,18 +649,19 @@ def _canonical_witness(
     optimum: int,
     deadline: float | None,
     cliques: tuple[int, tuple[tuple[int, int], ...]],
-    label: list[int] | None = None,
+    order: list[int] | None = None,
 ) -> int:
-    """Lexicographically smallest optimum solution, fixed vertex by vertex.
+    """Optimum solution that is least in the vertex order `order` (ascending
+    labels when omitted), fixed vertex by vertex; in packed-value order it is
+    the lexicographically smallest code.
 
-    `label` gives the label of each vertex in packed-value order (the
-    identity when omitted).  A vertex that no optimum holds together with
-    the choice so far fits no later, larger choice either, so it leaves the
-    open set.  Raises SearchBudgetExceeded when the deadline passes first."""
+    A vertex that no optimum holds together with the choice so far fits no
+    later, larger choice either, so it leaves the open set.  Raises
+    SearchBudgetExceeded when the deadline passes first."""
     chosen = chosen0
     size = size0
     om = open0
-    for v in range(len(adj)) if label is None else label:
+    for v in range(len(adj)) if order is None else order:
         if size >= optimum:
             break
         bit = 1 << v

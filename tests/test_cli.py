@@ -254,6 +254,10 @@ class TestSearch:
         assert code == 4
         assert "lower-bound" in out
 
+    def test_nan_budget_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "9", "--t", "1", "--budget", "nan")
+        assert code == 1 and not out and "budget" in err
+
     def test_threads_flag(self, capsys):
         _, a, _ = run(capsys, "search", "--n", "5", "--t", "1", "--json")
         _, b, _ = run(

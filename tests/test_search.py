@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import time
 
 import pytest
@@ -29,11 +31,12 @@ from delcodes.search import (
     _bits_of,
     _canonical_witness,
     _cover_bound,
-    _DegreeOrder,
+    _greedy_independent,
     _initial_incumbent,
     _orbit_roots,
     _prepare,
     _root_bound,
+    _root_state,
     _solve_exact,
     _solve_stack,
     _split_frontier,
@@ -264,6 +267,38 @@ class TestMaxCodeSize:
         assert r.exhausted and r.optimum == 16
         assert is_t_deletion_correcting(r.witness, 1)
 
+    @pytest.mark.parametrize("workers", [3, 100, 10_000])
+    def test_pool_size_is_capped(self, monkeypatch, workers):
+        # a serial stand-in for the pool: no process is started at any count
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                self.tasks = list(tasks)
+                return map(fn, self.tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        r = max_code_size(SearchConfig(7, 1, workers=workers))
+        assert r.exhausted and r.optimum == 16
+        (pool,) = pools
+        assert pool.max_workers == max(1, min(workers, len(pool.tasks), 4))
+
+    def test_nan_budget_rejected(self):
+        for budget in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="budget"):
+                SearchConfig(9, 1, time_budget=budget).validate()
+
 
 def test_every_dominant_word_has_a_basic_subordinate():
     # dropping dominant words from the search is sound exactly when this holds
@@ -293,7 +328,7 @@ class TestRootBound:
 
     def test_lp_settles_where_the_greedy_cover_does_not(self):
         graph, open0, size0, _ = _prepare(SearchConfig(8, 1))
-        assert size0 + _cover_bound(open0, graph.adj) == 50
+        assert size0 + _cover_bound(open0, graph.adj) == 46
         assert _root_bound(graph, open0, size0, None)[0] == 30
 
     @pytest.mark.parametrize("n,t", [(7, 1), (8, 1), (9, 2), (10, 3)])
@@ -340,6 +375,58 @@ class TestRootBound:
         assert reached // unit >= _brute_max_code(words, t)
 
 
+class TestSearchOrder:
+    @pytest.mark.parametrize("n,t", [(7, 1), (8, 2), (9, 3)])
+    @pytest.mark.parametrize("basic_only,force", FLAGS)
+    def test_prepared_graph_is_the_packed_graph(self, n, t, basic_only, force):
+        graph, open0, *_ = _prepare(SearchConfig(n, t, basic_only, force))
+        packed = build_conflict_graph(build_candidates(n, t, basic_only), t)
+        words = [w.bits for w in graph.vertices]
+        assert sorted(words) == [w.bits for w in packed.vertices]
+        assert _edges(graph) == _edges(packed)
+        # ascending by open degree at the root, ties by packed value
+        keys = [((a & open0).bit_count(), b) for a, b in zip(graph.adj, words)]
+        assert keys == sorted(keys)
+
+    def test_seed_ties_follow_packed_values(self):
+        # with ties broken by label the t=2 n=10 greedy seed is 14
+        graph, open0, size0, chosen0 = _prepare(SearchConfig(10, 2))
+        seed, mask = _initial_incumbent(graph, open0, size0, chosen0)
+        packed = build_conflict_graph(build_candidates(10, 2, True), 2)
+        packed_open, forced = _root_state(packed, True)
+        rank = [w.bits for w in packed.vertices]
+        size, chosen = _greedy_independent(packed_open, packed.adj, rank)
+        assert seed == size + 2 == 15
+        assert _words(graph, mask) == _words(packed, chosen | forced)
+
+    def test_root_bound_does_not_follow_the_labels(self):
+        # simplex columns in label order give another certificate here
+        graph, open0, size0, _ = _prepare(SearchConfig(9, 3, basic_only=False))
+        packed = build_conflict_graph(build_candidates(9, 3, False), 3)
+        packed_open, _ = _root_state(packed, True)
+        bounds = []
+        for g, om in ((graph, open0), (packed, packed_open)):
+            upper, (unit, containers) = _root_bound(g, om, size0, None)
+            pairs = sorted((_words(g, mask), w) for mask, w in containers)
+            bounds.append((upper, unit, pairs))
+        assert bounds[0] == bounds[1]
+
+
+def _words(graph, mask: int) -> list[int]:
+    """Packed values of the vertices in a mask, ascending."""
+    return sorted(graph.vertices[i].bits for i in _bits_of(mask))
+
+
+def _edges(graph) -> set[tuple[int, int]]:
+    """Edges as pairs of packed values, the lesser first."""
+    return {
+        (u.bits, graph.vertices[j].bits)
+        for u, a in zip(graph.vertices, graph.adj)
+        for j in _bits_of(a)
+        if u.bits < graph.vertices[j].bits
+    }
+
+
 def _brute_max_code(words: list[str], t: int) -> int:
     """Largest subset with pairwise disjoint deletion balls, by exhaustion."""
     balls = [ref_ball(w, t) for w in words]
@@ -369,8 +456,8 @@ def _graphs(draw, max_vertices=12):
 
 class TestBranchAndBound:
     @settings(deadline=None, max_examples=150)
-    @given(_graphs(), st.booleans())
-    def test_three_modes_match_brute_force(self, adj, relabel):
+    @given(_graphs())
+    def test_three_modes_match_brute_force(self, adj):
         v = len(adj)
         full = (1 << v) - 1
         independent = [
@@ -378,15 +465,11 @@ class TestBranchAndBound:
             if not any(m >> i & 1 and adj[i] & m for i in range(v))
         ]
         optimum = max(m.bit_count() for m in independent)
-        to_old = int  # the identity on masks
-        if relabel:
-            labels = _DegreeOrder(adj, full)
-            adj, to_old = labels.adj, labels.to_old
         none = (1, ())
         # maximise from an empty incumbent
         best, chosen, _, done = _solve_exact(adj, full, 0, 0, 0, 0, None, v, none)
         assert done and best == optimum == chosen.bit_count()
-        assert to_old(chosen) in independent
+        assert chosen in independent
         # find a set of size T: incumbent T - 1, cap T
         for size in range(1, v + 2):
             best, chosen, _, done = _solve_exact(
@@ -394,7 +477,7 @@ class TestBranchAndBound:
             )
             assert done and (best >= size) == (size <= optimum)
             if best >= size:
-                assert to_old(chosen) in independent
+                assert chosen in independent
         # the --threads split: each subproblem capped by its bound
         parts = _split_frontier(adj, [(full, 0, 0, v)], 0, 8)
         assert optimum == max(
@@ -404,7 +487,7 @@ class TestBranchAndBound:
         # collect every maximum set, each once
         found: list[int] = []
         _solve_exact(adj, full, 0, 0, optimum - 1, 0, None, optimum, none, found)
-        assert sorted(map(to_old, found)) == [
+        assert sorted(found) == [
             m for m in independent if m.bit_count() == optimum
         ]
 
@@ -419,11 +502,9 @@ class TestBranchAndBound:
 
     def test_collect_pass_at_t1_n7(self):
         graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 1))
-        labels = _DegreeOrder(graph.adj, open0)
         found: list[int] = []
         _, _, _, done = _solve_exact(
-            labels.adj, labels.to_new(open0), size0, labels.to_new(chosen0),
-            15, 0, None, 16, (1, ()), found,
+            graph.adj, open0, size0, chosen0, 15, 0, None, 16, (1, ()), found
         )
         assert done and len(found) == len(set(found)) == 158
 
@@ -466,7 +547,7 @@ class TestSymmetry:
             for basic_only in (True, False):
                 graph, *_ = _prepare(SearchConfig(n, t, basic_only))
                 ident = list(range(len(graph)))
-                complement, reverse, both = _symmetry_perms(graph, ident)
+                complement, reverse, both = _symmetry_perms(graph)
                 assert [reverse[i] for i in complement] == both
                 neighbours = [frozenset(_bits_of(m)) for m in graph.adj]
                 # the two generators suffice, and each is a bijection
@@ -483,17 +564,6 @@ class TestSymmetry:
                     for perm in (complement, reverse):
                         assert _image(perm, open0) == open0, config
                         assert _image(perm, chosen0) == chosen0, config
-
-    def test_perms_follow_the_labels(self):
-        graph, open0, *_ = _prepare(SearchConfig(7, 1))
-        labels = _DegreeOrder(graph.adj, open0)
-        packed = _symmetry_perms(graph, list(range(len(graph))))
-        relabelled = _symmetry_perms(graph, labels.label)
-        for old, new in zip(packed, relabelled):
-            assert all(
-                new[labels.label[i]] == labels.label[old[i]] for i in range(len(graph))
-            )
-            assert _image(new, labels.to_new(open0)) == labels.to_new(open0)
 
     @settings(deadline=None, max_examples=150)
     @given(_symmetric_graphs())
@@ -532,7 +602,7 @@ class TestSymmetry:
         # t=3 n=7: the forced words block every other word and are optimal
         graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 3))
         assert open0 == 0 and size0 == KNOWN_OPTIMA[3, 7]
-        perms = _symmetry_perms(graph, list(range(len(graph))))
+        perms = _symmetry_perms(graph)
         roots = _orbit_roots(graph.adj, open0, size0, chosen0, size0, perms)
         assert roots == [(0, size0, chosen0, size0)]
         found: list[int] = []
