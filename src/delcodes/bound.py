@@ -18,7 +18,6 @@ any simplex iterate, not only the optimal one.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator, Sequence
 
 from .words import _ball_table, _images
@@ -67,7 +66,7 @@ def dual_iterates(graph, open_mask: int) -> Iterator[list[float]]:
     )
     k, r = len(x_sizes), len(y_sizes)
     width = k + r
-    rows = [array("d", bytes(8 * (width + 1))) for _ in range(r)]
+    rows = [[0.0] * (width + 1) for _ in range(r)]
     seen = set()
     for x in vertices:
         col = x_orbit[x]
@@ -80,7 +79,7 @@ def dual_iterates(graph, open_mask: int) -> Iterator[list[float]]:
         row[k + i] = 1.0
         row[width] = float(y_sizes[i])
     # reduced profits c_j - z_j; the duals are minus those of the slacks
-    obj = array("d", [1.0] * k + [0.0] * (r + 1))
+    obj = [1.0] * k + [0.0] * (r + 1)
     basis = list(range(k, width))
     orbit_of = [y_orbit.get(y, r) for y in range(1 << m)]
     bland = False
@@ -112,13 +111,13 @@ def dual_iterates(graph, open_mask: int) -> Iterator[list[float]]:
         bland = ratio <= _EPS
         prow = rows[leave]
         p = prow[enter]
-        prow = rows[leave] = array("d", [v / p for v in prow])
+        prow = rows[leave] = [v / p for v in prow]
         for i, row in enumerate(rows):
             f = row[enter]
             if i != leave and f:
-                rows[i] = array("d", [a - f * b for a, b in zip(row, prow)])
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
         f = obj[enter]
-        obj = array("d", [a - f * b for a, b in zip(obj, prow)])
+        obj = [a - f * b for a, b in zip(obj, prow)]
         basis[leave] = enter
 
 

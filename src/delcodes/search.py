@@ -8,13 +8,15 @@ of the root (see bound.py), which every node reuses on the words its open
 vertices can still reach, and a greedy clique partition of the open
 vertices, which also orders the branching: one partition per node bounds
 every child (the colouring branch-and-bound of MCQ and BBMC, seen from the
-complement graph).  Two search-space reductions are available: dropping
-dominated words and pre-selecting the two constant words.
+complement graph).  Two search-space reductions are available, both
+applied once at the root: dropping dominated words and pre-selecting the
+two constant words.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import os
 import time
 from typing import NamedTuple
@@ -281,24 +283,24 @@ def _solve_stack(
     """Exact max independent set over the subproblems (open mask, size,
     chosen, bound) on the stack, the last popped first.
 
-    Branch-and-reduce: open vertices whose open neighbourhood is a clique of
-    size 0, 1, or 2 belong to some maximum solution and are taken outright.
-    A node is then pruned by the container-clique certificate `cliques` =
-    (c, ((mask, weight), ...)) from bound.certify (none when empty), and
-    otherwise split into its colour-ordered children (see _children), each
-    stored with its bound and skipped when popped if that bound no longer
-    beats the incumbent.  The search stops once the incumbent reaches `cap`,
-    a proved upper bound.  Returns (best_size, best_chosen, nodes,
-    exhausted), nodes counting the pops that were expanded; on deadline
-    expiry the best found so far comes back with exhausted False.
+    Branch-and-bound: a node is pruned by the container-clique certificate
+    `cliques` = (c, ((mask, weight), ...)) from bound.certify (none when
+    empty), and otherwise split into its colour-ordered children (see
+    _children), each stored with its bound and skipped when popped if that
+    bound no longer beats the incumbent.  Nodes keep no degrees: a pass
+    taking the open vertices of open degree 0, 1 or 2 fired at few nodes
+    and cost a scan of every open vertex at each.  The search stops once the
+    incumbent reaches `cap`, a proved upper bound.  Returns (best_size,
+    best_chosen, nodes, exhausted), nodes counting the pops that were
+    expanded; on deadline expiry the best found so far comes back with
+    exhausted False.
 
     The same loop serves three modes.  Maximise: best_size is an incumbent
     and cap a proved bound.  Find a solution of size T: best_size T - 1 and
     cap T.  Collect every solution of size T, the optimum: best_size T - 1
     and a list `found`, to which each solution is appended once for every
-    subproblem that holds it; best_size then stays fixed, and the
-    reductions are skipped because they keep only one of several optima.
-    The stack is consumed.
+    subproblem that holds it; best_size then stays fixed.  The stack is
+    consumed.
 
     Any vertex labelling is correct; the order of the labels decides the
     partitions and so the size of the tree.
@@ -314,34 +316,6 @@ def _solve_stack(
         if deadline is not None and time.monotonic() > deadline:
             return best_size, best_chosen, nodes, False
         nodes += 1
-        while om and found is None:
-            reduced = False
-            rem = om
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                v = low.bit_length() - 1
-                nb = adj[v] & om
-                d = nb.bit_count()
-                if d == 0:
-                    om ^= low
-                elif d == 1:
-                    om &= ~(nb | low)
-                elif d == 2:
-                    b1 = nb & -nb
-                    u2 = (nb ^ b1).bit_length() - 1
-                    if adj[b1.bit_length() - 1] >> u2 & 1:
-                        om &= ~(nb | low)
-                    else:
-                        continue
-                else:
-                    continue
-                size += 1
-                chosen |= low
-                reduced = True
-                rem &= om
-            if not reduced:
-                break
         if size > best_size:
             if found is not None:
                 found.append(chosen)
@@ -377,17 +351,24 @@ def _split_frontier(
     """Expand the subproblems (open mask, size, chosen, bound) in `roots`
     into at least `target`, the node with the most open vertices first,
     each into its colour-ordered children.  A node's own solution needs no
-    entry: one of its children is larger."""
-    frontier = list(roots)
-    while len(frontier) < target:
-        expandable = [f for f in frontier if f[0]]
-        if not expandable:
-            break
-        node = max(expandable, key=lambda f: (f[0].bit_count(), -f[1]))
-        frontier.remove(node)
-        om, size, chosen, _ = node
-        frontier += _children(adj, om, size, chosen, best_size)
-    return frontier
+    entry: one of its children is larger.  Ties go to the smaller size,
+    then to the earlier node; the nodes left come back in the order they
+    were made."""
+    made = list(roots)
+    heap = [(-f[0].bit_count(), f[1], i) for i, f in enumerate(made) if f[0]]
+    heapq.heapify(heap)
+    count = len(made)
+    while count < target and heap:
+        i = heapq.heappop(heap)[2]
+        om, size, chosen, _ = made[i]
+        made[i] = None
+        count -= 1
+        for child in _children(adj, om, size, chosen, best_size):
+            if child[0]:
+                heapq.heappush(heap, (-child[0].bit_count(), child[1], len(made)))
+            made.append(child)
+            count += 1
+    return [f for f in made if f is not None]
 
 
 def _symmetry_perms(graph: ConflictGraph) -> tuple[list[int], ...]:

@@ -454,6 +454,22 @@ def _graphs(draw, max_vertices=12):
     return tuple(adj)
 
 
+def _split_by_scan(adj, roots, best_size, target):
+    """The frontier split as a linear scan per expansion: max over the
+    expandable nodes by (open count, -size), first one on ties, then
+    list.remove."""
+    frontier = list(roots)
+    while len(frontier) < target:
+        expandable = [f for f in frontier if f[0]]
+        if not expandable:
+            break
+        node = max(expandable, key=lambda f: (f[0].bit_count(), -f[1]))
+        frontier.remove(node)
+        om, size, chosen, _ = node
+        frontier += search._children(adj, om, size, chosen, best_size)
+    return frontier
+
+
 class TestBranchAndBound:
     @settings(deadline=None, max_examples=150)
     @given(_graphs())
@@ -491,10 +507,49 @@ class TestBranchAndBound:
             m for m in independent if m.bit_count() == optimum
         ]
 
+    @settings(deadline=None, max_examples=150)
+    @given(_graphs(), st.integers(0, 3), st.integers(1, 40))
+    def test_split_frontier_matches_scan(self, adj, best_size, target):
+        roots = [((1 << len(adj)) - 1, 0, 0, len(adj))]
+        assert _split_frontier(adj, roots, best_size, target) == _split_by_scan(
+            adj, roots, best_size, target
+        )
+
+    def test_split_frontier_matches_scan_at_t2_n9(self, monkeypatch):
+        # 10 000 workers ask for 40 000 subproblems; a serial stand-in for
+        # the pool starts no process
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        splits = []
+
+        def split(*args):
+            parts = _split_frontier(*args)
+            splits.append((args, parts))
+            return parts
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(search, "_split_frontier", split)
+        r = max_code_size(SearchConfig(9, 2, workers=10_000))
+        assert r.exhausted and r.optimum == 11
+        ((args, parts),) = splits
+        assert args[3] == 40_000
+        assert parts == _split_by_scan(*args)
+
     def test_node_counts(self):
-        # expanded pops: 2 328 and 449 from the orbit roots in degree order;
-        # the plain root (3 523, 1 010), the orbit chain popped last first
-        # (2 911 at t=2 n=9), packed labels (24 899 at t=2 n=9) or a binary
+        # expanded pops: 2 394 and 465 from the orbit roots in degree order;
+        # the plain root (3 576, 1 049), the orbit chain popped last first
+        # (3 020 at t=2 n=9), packed labels (24 913 at t=2 n=9) or a binary
         # branch (65 403, 8 261) fail
         for (n, t), limit in {(9, 2): 2_600, (7, 1): 550}.items():
             r = max_code_size(SearchConfig(n, t))
@@ -647,8 +702,9 @@ class TestEnumerateOptimal:
             assert base == alt, (n, t)
 
     def test_class_counts(self):
-        # the degree-1/2 reductions keep one optimum of several: run while
-        # collecting, they drop classes (20 -> 15 at t=2, n=7)
+        # the collect pass reaches every optimum: a step that keeps one
+        # optimum of several (a degree-1/2 reduction did) loses classes,
+        # 20 -> 15 at t=2, n=7
         counts = {(6, 1): 3, (7, 1): 46, (6, 2): 2, (7, 2): 20, (7, 3): 1}
         for (n, t), count in counts.items():
             assert len(enumerate_optimal_codes(SearchConfig(n, t))) == count, (n, t)
