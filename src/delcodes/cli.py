@@ -255,7 +255,7 @@ def _cmd_check(args) -> int:
     if args.json:
         doc = {
             "words": len(code),
-            "length": code.length,
+            "length": code.member_length,
             "t": t,
             "deletion_correcting": correcting,
             "collision": [str(collision[0]), str(collision[1])] if collision else None,
@@ -267,7 +267,7 @@ def _cmd_check(args) -> int:
             doc["dominant_codewords"] = [str(w) for w in offenders]
         print(_dumps(doc))
     else:
-        print(f"words: {len(code)} of length {code.length}")
+        print(f"words: {len(code)} of length {code.member_length}")
         if correcting:
             print(f"deletion-correcting(t={t}): yes")
         else:

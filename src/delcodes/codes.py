@@ -7,33 +7,28 @@ and the classical checksum baseline construction.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .dominance import (
     BRUTE_FORCE_CAP,
     _check_query,
+    _dominant_pairs_packed,
     _dominant_words_packed,
-    subordinates_of,
 )
-from .words import Word, _ball_packed, _images, deletion_distance
+from .words import Word, WordSet, _ball_packed, _images, _lcs_packed
 
 
-class Code:
-    """Nonempty, deduplicated set of equal-length words, stored in ascending order."""
+class Code(WordSet):
+    """Nonempty WordSet that also takes its members as 0/1 strings and reads
+    and writes the code file format."""
 
-    __slots__ = ("length", "words", "_lookup")
+    __slots__ = ()
 
     def __init__(self, words: Iterable[Word | str]) -> None:
         ws = [w if isinstance(w, Word) else Word(w) for w in words]
         if not ws:
             raise ValueError("a code must contain at least one word")
-        n = ws[0].n
-        for w in ws:
-            if w.n != n:
-                raise ValueError(f"codeword length {w.n} differs from {n}")
-        self.length = n
-        self.words = tuple(sorted(set(ws), key=lambda w: w.bits))
-        self._lookup = frozenset(self.words)
+        super().__init__(ws[0].n, ws)
 
     @classmethod
     def from_text(cls, text: str) -> "Code":
@@ -55,44 +50,23 @@ class Code:
             return cls.from_text(fh.read())
 
     def to_text(self) -> str:
-        return "\n".join(str(w) for w in self.words) + "\n"
+        return "\n".join(self.strings()) + "\n"
 
     def to_file(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(self.to_text())
 
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
-
-    def __contains__(self, w: Word) -> bool:
-        return isinstance(w, Word) and w in self._lookup
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Code)
-            and self.length == other.length
-            and self.words == other.words
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.words))
-
-    def __repr__(self) -> str:
-        return f"Code(n={self.length}, size={len(self.words)})"
-
 
 def find_ball_collision(code: Code, t: int) -> tuple[Word, Word] | None:
     """First pair of codewords (ascending order) whose deletion balls meet."""
     _check_t(code, t)
-    owner: dict[int, Word] = {}
-    for w in code.words:
-        for member in sorted(_ball_packed(w.bits, w.n, t)):
+    n = code.member_length
+    owner: dict[int, int] = {}
+    for bits in code.packed():
+        for member in sorted(_ball_packed(bits, n, t)):
             if member in owner:
-                return owner[member], w
-            owner[member] = w
+                return Word.from_bits(owner[member], n), Word.from_bits(bits, n)
+            owner[member] = bits
     return None
 
 
@@ -105,10 +79,10 @@ def code_deletion_distance(code: Code) -> int:
     """Minimum deletion distance over distinct codeword pairs."""
     if len(code) < 2:
         raise ValueError("code deletion distance needs at least two codewords")
-    return min(
-        deletion_distance(u, v)
-        for i, u in enumerate(code.words)
-        for v in code.words[i + 1 :]
+    n = code.member_length
+    words = code.packed()
+    return n - max(
+        _lcs_packed(u, n, v, n) for i, u in enumerate(words) for v in words[i + 1 :]
     )
 
 
@@ -116,16 +90,18 @@ def is_perfect(code: Code, t: int) -> bool:
     """True iff the (already disjoint) balls cover every word of length n-t."""
     if not is_t_deletion_correcting(code, t):
         raise ValueError(f"code is not {t}-deletion-correcting")
-    covered = sum(len(_ball_packed(w.bits, w.n, t)) for w in code.words)
-    return covered == 1 << (code.length - t)
+    n = code.member_length
+    covered = sum(len(_ball_packed(bits, n, t)) for bits in code.packed())
+    return covered == 1 << (n - t)
 
 
 def dominant_codewords(code: Code, t: int) -> list[Word]:
     """Codewords that dominate some other word of the full space."""
     _check_t(code, t)
-    _check_query(code.length, t, BRUTE_FORCE_CAP)
-    dominant = _dominant_words_packed(code.length, t)
-    return [w for w in code.words if w.bits in dominant]
+    n = code.member_length
+    _check_query(n, t, BRUTE_FORCE_CAP)
+    dominant = _dominant_words_packed(n, t)
+    return [Word.from_bits(bits, n) for bits in code.packed() if bits in dominant]
 
 
 def is_basic(code: Code, t: int) -> bool:
@@ -144,26 +120,30 @@ def replace_dominant(code: Code, t: int) -> Code:
     """
     if not is_t_deletion_correcting(code, t):
         raise ValueError(f"code is not {t}-deletion-correcting")
-    current = set(code.words)
+    n = code.member_length
+    _check_query(n, t, BRUTE_FORCE_CAP)
+    subordinates: dict[int, list[int]] = {}
+    for u, v in _dominant_pairs_packed(n, t):  # ascending in v
+        subordinates.setdefault(u, []).append(v)
+    current = set(code.packed())
     while True:
-        replaced = False
-        for w in sorted(current, key=lambda w: w.bits):
-            subs = [v for v in subordinates_of(w, t) if v not in current]
-            if subs and subs[0].bits < w.bits:
-                current.remove(w)
+        for bits in sorted(current):
+            subs = [v for v in subordinates.get(bits, ()) if v not in current]
+            if subs and subs[0] < bits:
+                current.remove(bits)
                 current.add(subs[0])
-                replaced = True
                 break
-        if not replaced:
-            return Code(current)
+        else:
+            return Code._from_packed(n, current)
 
 
 def are_equivalent(c1: Code, c2: Code) -> bool:
     """True iff c2 is c1, its complement, its reversal, or both applied."""
-    if c1.length != c2.length:
-        raise ValueError(f"length mismatch: {c1.length} != {c2.length}")
-    orbits = [_images(w.bits, c1.length) for w in c1.words]
-    target = frozenset(w.bits for w in c2.words)
+    n = c1.member_length
+    if n != c2.member_length:
+        raise ValueError(f"length mismatch: {n} != {c2.member_length}")
+    orbits = [_images(bits, n) for bits in c1.packed()]
+    target = frozenset(c2.packed())
     return any(frozenset(o[k] for o in orbits) == target for k in range(4))
 
 
@@ -178,12 +158,9 @@ def vt_code(n: int, a: int) -> Code:
         raise ValueError(f"length must be positive: {n}")
     if not 0 <= a <= n:
         raise ValueError(f"residue {a} out of range 0..{n}")
-    members = [
-        Word.from_bits(bits, n)
-        for bits in range(1 << n)
-        if _vt_checksum(bits, n) % (n + 1) == a
-    ]
-    return Code(members)
+    return Code._from_packed(
+        n, (bits for bits in range(1 << n) if _vt_checksum(bits, n) % (n + 1) == a)
+    )
 
 
 def _vt_checksum(bits: int, n: int) -> int:
@@ -197,7 +174,6 @@ def _vt_checksum(bits: int, n: int) -> int:
 
 
 def _check_t(code: Code, t: int) -> None:
-    if not 1 <= t < code.length:
-        raise ValueError(
-            f"deletion count {t} out of range 1..{code.length - 1}"
-        )
+    n = code.member_length
+    if not 1 <= t < n:
+        raise ValueError(f"deletion count {t} out of range 1..{n - 1}")

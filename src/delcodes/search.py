@@ -193,12 +193,6 @@ def _clique_classes(open_mask: int, adj: tuple[int, ...]) -> list[int]:
     return classes
 
 
-def _cover_bound(open_mask: int, adj: tuple[int, ...]) -> int:
-    """Size of the greedy clique partition of the open vertices, a bound on
-    any independent set inside them."""
-    return len(_clique_classes(open_mask, adj))
-
-
 def _children(
     adj: tuple[int, ...], om: int, size: int, chosen: int, best_size: int
 ) -> list[tuple[int, int, int, int]]:
@@ -248,26 +242,6 @@ def _greedy_independent(
         size += 1
         open_mask &= ~(adj[best_v] | (1 << best_v))
     return size, chosen
-
-
-def _solve_exact(
-    adj: tuple[int, ...],
-    open_mask: int,
-    base_size: int,
-    base_chosen: int,
-    best_size: int,
-    best_chosen: int,
-    deadline: float | None,
-    cap: int,
-    cliques: tuple[int, tuple[tuple[int, int], ...]],
-    found: list[int] | None = None,
-) -> tuple[int, int, int, bool]:
-    """Exact max independent set extension of (base_size, base_chosen): the
-    search of _solve_stack from that single root."""
-    return _solve_stack(
-        adj, [(open_mask, base_size, base_chosen, cap)], best_size, best_chosen,
-        deadline, cap, cliques, found,
-    )
 
 
 def _solve_stack(
@@ -339,7 +313,9 @@ def _solve_stack(
 
 def _solve_worker(args) -> tuple[int, int, int, bool]:
     adj, om, size, chosen, best_size, deadline, cap, cliques = args
-    return _solve_exact(adj, om, size, chosen, best_size, 0, deadline, cap, cliques)
+    return _solve_stack(
+        adj, [(om, size, chosen, cap)], best_size, 0, deadline, cap, cliques
+    )
 
 
 def _split_frontier(
@@ -469,7 +445,9 @@ def max_code_size(config: SearchConfig) -> SearchResult:
             sorted(range(len(graph)), key=lambda i: graph.vertices[i].bits),
         )
 
-    witness = Code([graph.vertices[i] for i in _bits_of(best_chosen)])
+    witness = Code._from_packed(
+        config.n, [graph.vertices[i].bits for i in _bits_of(best_chosen)]
+    )
     return SearchResult(
         n=config.n,
         t=config.t,
@@ -486,9 +464,9 @@ def _root_bound(
     graph: ConflictGraph, open0: int, size0: int, deadline: float | None
 ) -> tuple[int, tuple[int, tuple[tuple[int, int], ...]]]:
     """Proved upper bound on the optimum, and the node certificate for
-    _solve_exact.  The simplex stops at the deadline; the duals of whatever
+    _solve_stack.  The simplex stops at the deadline; the duals of whatever
     iterate it reached still certify a (weaker) bound."""
-    upper = size0 + _cover_bound(open0, graph.adj)
+    upper = size0 + len(_clique_classes(open0, graph.adj))
     if not open0:
         return upper, (1, ())
     duals: list[float] = []
@@ -544,7 +522,7 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
             continue
         # least sorted image; packed order is string order at one length
         keys.add(min(tuple(sorted(o[k] for o in orbits)) for k in range(4)))
-    return [Code([Word.from_bits(b, n) for b in key]) for key in sorted(keys)]
+    return [Code._from_packed(n, key) for key in sorted(keys)]
 
 
 def _initial_incumbent(
@@ -561,10 +539,10 @@ def _initial_incumbent(
         subordinate = _basic_subordinates(n, 1)
         for a in range(n + 1):
             mask = 0
-            for w in vt_code(n, a):
-                bits = w.bits
+            for bits in vt_code(n, a).packed():
                 if bits not in graph._index:
-                    # a subordinate's ball lies inside w's, so the code still corrects
+                    # a subordinate's ball lies inside the codeword's, so the
+                    # code still corrects
                     bits = subordinate.get(bits)
                 i = graph._index.get(bits)
                 if i is not None:
@@ -630,11 +608,11 @@ def _canonical_witness(
     optimum: int,
     deadline: float | None,
     cliques: tuple[int, tuple[tuple[int, int], ...]],
-    order: list[int] | None = None,
+    order: list[int],
 ) -> int:
-    """Optimum solution that is least in the vertex order `order` (ascending
-    labels when omitted), fixed vertex by vertex; in packed-value order it is
-    the lexicographically smallest code.
+    """Optimum solution that is least in the vertex order `order`, fixed
+    vertex by vertex; in packed-value order it is the lexicographically
+    smallest code.
 
     A vertex that no optimum holds together with the choice so far fits no
     later, larger choice either, so it leaves the open set.  Raises
@@ -642,15 +620,16 @@ def _canonical_witness(
     chosen = chosen0
     size = size0
     om = open0
-    for v in range(len(adj)) if order is None else order:
+    for v in order:
         if size >= optimum:
             break
         bit = 1 << v
         if not om & bit:
             continue
         sub = om & ~bit & ~adj[v]
-        best, _, _, exhausted = _solve_exact(
-            adj, sub, size + 1, 0, optimum - 1, 0, deadline, optimum, cliques
+        best, _, _, exhausted = _solve_stack(
+            adj, [(sub, size + 1, 0, optimum)], optimum - 1, 0, deadline, optimum,
+            cliques,
         )
         if best >= optimum:
             chosen |= bit

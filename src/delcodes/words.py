@@ -86,16 +86,24 @@ class Word:
     def __hash__(self) -> int:
         return hash((self.n, self.bits))
 
-    def __lt__(self, other: "Word") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
         return (self.n, self.bits) < (other.n, other.bits)
 
-    def __le__(self, other: "Word") -> bool:
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
         return (self.n, self.bits) <= (other.n, other.bits)
 
-    def __gt__(self, other: "Word") -> bool:
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
         return (self.n, self.bits) > (other.n, other.bits)
 
-    def __ge__(self, other: "Word") -> bool:
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
         return (self.n, self.bits) >= (other.n, other.bits)
 
 
@@ -118,6 +126,8 @@ class WordSet:
 
     @classmethod
     def _from_packed(cls, member_length: int, packed: Iterable[int]) -> "WordSet":
+        """Set of the given packed values, taken unchecked as member_length-bit
+        words; for a Code the caller also vouches that they are not empty."""
         s = cls.__new__(cls)
         s.member_length = member_length
         s._lookup = frozenset(packed)
@@ -138,8 +148,12 @@ class WordSet:
         for bits in self._packed:
             yield Word.from_bits(bits, n)
 
-    def __contains__(self, w: Word) -> bool:
-        return w.n == self.member_length and w.bits in self._lookup
+    def __contains__(self, w: object) -> bool:
+        return (
+            isinstance(w, Word)
+            and w.n == self.member_length
+            and w.bits in self._lookup
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -158,7 +172,7 @@ class WordSet:
         )
 
     def __repr__(self) -> str:
-        return f"WordSet(n={self.member_length}, size={len(self._packed)})"
+        return f"{type(self).__name__}(n={self.member_length}, size={len(self)})"
 
 
 def weight(w: Word) -> int:

@@ -5,6 +5,7 @@ import pytest
 from delcodes import (
     Code,
     Word,
+    WordSet,
     are_equivalent,
     code_deletion_distance,
     complement,
@@ -56,6 +57,12 @@ class TestCodeType:
         c = Code(["010", "101"])
         assert Word("010") in c and Word("011") not in c
         assert c == Code([Word("101"), Word("010")])
+        assert "010" not in c and None not in c
+        # a code is a word set: equal sets compare and hash equal
+        s = WordSet(3, [Word("010"), Word("101")])
+        assert isinstance(c, WordSet)
+        assert c == s and s == c and hash(c) == hash(s)
+        assert c != WordSet(3, [Word("010")])
 
 
 class TestDeletionCorrecting:
@@ -267,6 +274,8 @@ class TestCodeFileFormat:
         path = tmp_path / "example.code"
         EXAMPLE_CODE.to_file(path)
         assert Code.from_file(path) == EXAMPLE_CODE
+        vt = vt_code(8, 0)
+        assert Code.from_text(vt.to_text()) == vt
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         path = tmp_path / "a.code"
@@ -287,3 +296,5 @@ class TestCodeFileFormat:
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError):
             Code.from_text("# nothing here\n\n")
+        with pytest.raises(ValueError):
+            Code.from_text("# only comments\n")

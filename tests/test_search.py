@@ -30,14 +30,13 @@ from delcodes.search import (
     SEARCH_CAPS,
     _bits_of,
     _canonical_witness,
-    _cover_bound,
+    _clique_classes,
     _greedy_independent,
     _initial_incumbent,
     _orbit_roots,
     _prepare,
     _root_bound,
     _root_state,
-    _solve_exact,
     _solve_stack,
     _split_frontier,
     _symmetry_perms,
@@ -231,10 +230,12 @@ class TestMaxCodeSize:
     def test_canonical_witness_respects_deadline(self):
         graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 1))
         _, cliques = _root_bound(graph, open0, size0, None)
+        order = sorted(range(len(graph)), key=lambda i: graph.vertices[i].bits)
         past = time.monotonic() - 1
         with pytest.raises(SearchBudgetExceeded):
             _canonical_witness(
-                graph.adj, open0, size0, chosen0, KNOWN_OPTIMA[1, 7], past, cliques
+                graph.adj, open0, size0, chosen0, KNOWN_OPTIMA[1, 7], past, cliques,
+                order,
             )
 
     def test_json_document(self):
@@ -328,7 +329,7 @@ class TestRootBound:
 
     def test_lp_settles_where_the_greedy_cover_does_not(self):
         graph, open0, size0, _ = _prepare(SearchConfig(8, 1))
-        assert size0 + _cover_bound(open0, graph.adj) == 46
+        assert size0 + len(_clique_classes(open0, graph.adj)) == 46
         assert _root_bound(graph, open0, size0, None)[0] == 30
 
     @pytest.mark.parametrize("n,t", [(7, 1), (8, 1), (9, 2), (10, 3)])
@@ -351,8 +352,9 @@ class TestRootBound:
         # no seed and no cap: every improvement must come through pruned nodes
         graph, open0, size0, chosen0 = _prepare(SearchConfig(n, t))
         _, cliques = _root_bound(graph, open0, size0, None)
-        best, _, _, done = _solve_exact(
-            graph.adj, open0, size0, chosen0, 0, 0, None, len(graph), cliques
+        best, _, _, done = _solve_stack(
+            graph.adj, [(open0, size0, chosen0, len(graph))], 0, 0, None, len(graph),
+            cliques,
         )
         assert done and best == KNOWN_OPTIMA[t, n]
 
@@ -483,13 +485,15 @@ class TestBranchAndBound:
         optimum = max(m.bit_count() for m in independent)
         none = (1, ())
         # maximise from an empty incumbent
-        best, chosen, _, done = _solve_exact(adj, full, 0, 0, 0, 0, None, v, none)
+        best, chosen, _, done = _solve_stack(
+            adj, [(full, 0, 0, v)], 0, 0, None, v, none
+        )
         assert done and best == optimum == chosen.bit_count()
         assert chosen in independent
         # find a set of size T: incumbent T - 1, cap T
         for size in range(1, v + 2):
-            best, chosen, _, done = _solve_exact(
-                adj, full, 0, 0, size - 1, 0, None, size, none
+            best, chosen, _, done = _solve_stack(
+                adj, [(full, 0, 0, size)], size - 1, 0, None, size, none
             )
             assert done and (best >= size) == (size <= optimum)
             if best >= size:
@@ -497,12 +501,16 @@ class TestBranchAndBound:
         # the --threads split: each subproblem capped by its bound
         parts = _split_frontier(adj, [(full, 0, 0, v)], 0, 8)
         assert optimum == max(
-            _solve_exact(adj, om, size, c, 0, 0, None, min(v, bound), none)[0]
+            _solve_stack(
+                adj, [(om, size, c, min(v, bound))], 0, 0, None, min(v, bound), none
+            )[0]
             for om, size, c, bound in parts
         )
         # collect every maximum set, each once
         found: list[int] = []
-        _solve_exact(adj, full, 0, 0, optimum - 1, 0, None, optimum, none, found)
+        _solve_stack(
+            adj, [(full, 0, 0, optimum)], optimum - 1, 0, None, optimum, none, found
+        )
         assert sorted(found) == [
             m for m in independent if m.bit_count() == optimum
         ]
@@ -558,8 +566,8 @@ class TestBranchAndBound:
     def test_collect_pass_at_t1_n7(self):
         graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 1))
         found: list[int] = []
-        _, _, _, done = _solve_exact(
-            graph.adj, open0, size0, chosen0, 15, 0, None, 16, (1, ()), found
+        _, _, _, done = _solve_stack(
+            graph.adj, [(open0, size0, chosen0, 16)], 15, 0, None, 16, (1, ()), found
         )
         assert done and len(found) == len(set(found)) == 158
 
@@ -641,7 +649,9 @@ class TestSymmetry:
         # the --threads split of the roots
         parts = _split_frontier(adj, roots, 0, 8)
         assert optimum == max(
-            _solve_exact(adj, m, size, c, 0, 0, None, min(v, bound), none)[0]
+            _solve_stack(
+                adj, [(m, size, c, min(v, bound))], 0, 0, None, min(v, bound), none
+            )[0]
             for m, size, c, bound in parts
         )
         # collect reaches every orbit of maximum sets, each set at most once

@@ -51,6 +51,11 @@ class TestWordBasics:
     def test_packed_order_is_lexicographic(self):
         ws = [str(w) for w in Word.all_of_length(4)]
         assert ws == sorted(ws)
+        # against a non-Word Python raises TypeError, not AttributeError
+        with pytest.raises(TypeError):
+            Word("0") < 1
+        with pytest.raises(TypeError):
+            sorted([Word("01"), None])
 
     def test_symbol_positions_are_one_based_from_left(self):
         w = Word("0100")
@@ -353,6 +358,7 @@ class TestWordSet:
         s = WordSet(3, [Word("010")])
         assert Word("010") in s
         assert Word("01") not in s
+        assert "010" not in s and None not in s
 
     def test_subset_operator(self):
         small = WordSet(2, [Word("01")])
