@@ -59,9 +59,17 @@ class Code(WordSet):
 
 def find_ball_collision(code: Code, t: int) -> tuple[Word, Word] | None:
     """First pair of codewords (ascending order) whose deletion balls meet."""
+    return _first_collision(code, t, {})
+
+
+def _first_collision(
+    code: Code, t: int, owner: dict[int, int]
+) -> tuple[Word, Word] | None:
+    """find_ball_collision, building each ball once and recording in `owner`
+    the codeword of every ball member scanned: with no collision, `owner`
+    ends up holding the union of the balls."""
     _check_t(code, t)
     n = code.member_length
-    owner: dict[int, int] = {}
     for bits in code.packed():
         for member in sorted(_ball_packed(bits, n, t)):
             if member in owner:
@@ -88,11 +96,10 @@ def code_deletion_distance(code: Code) -> int:
 
 def is_perfect(code: Code, t: int) -> bool:
     """True iff the (already disjoint) balls cover every word of length n-t."""
-    if not is_t_deletion_correcting(code, t):
+    owner: dict[int, int] = {}
+    if _first_collision(code, t, owner) is not None:
         raise ValueError(f"code is not {t}-deletion-correcting")
-    n = code.member_length
-    covered = sum(len(_ball_packed(bits, n, t)) for bits in code.packed())
-    return covered == 1 << (n - t)
+    return len(owner) == 1 << (code.member_length - t)
 
 
 def dominant_codewords(code: Code, t: int) -> list[Word]:

@@ -16,7 +16,6 @@ two constant words.
 from __future__ import annotations
 
 import functools
-import heapq
 import os
 import time
 from typing import NamedTuple
@@ -311,42 +310,6 @@ def _solve_stack(
     return best_size, best_chosen, nodes, True
 
 
-def _solve_worker(args) -> tuple[int, int, int, bool]:
-    adj, om, size, chosen, best_size, deadline, cap, cliques = args
-    return _solve_stack(
-        adj, [(om, size, chosen, cap)], best_size, 0, deadline, cap, cliques
-    )
-
-
-def _split_frontier(
-    adj: tuple[int, ...],
-    roots: list[tuple[int, int, int, int]],
-    best_size: int,
-    target: int,
-) -> list[tuple[int, int, int, int]]:
-    """Expand the subproblems (open mask, size, chosen, bound) in `roots`
-    into at least `target`, the node with the most open vertices first,
-    each into its colour-ordered children.  A node's own solution needs no
-    entry: one of its children is larger.  Ties go to the smaller size,
-    then to the earlier node; the nodes left come back in the order they
-    were made."""
-    made = list(roots)
-    heap = [(-f[0].bit_count(), f[1], i) for i, f in enumerate(made) if f[0]]
-    heapq.heapify(heap)
-    count = len(made)
-    while count < target and heap:
-        i = heapq.heappop(heap)[2]
-        om, size, chosen, _ = made[i]
-        made[i] = None
-        count -= 1
-        for child in _children(adj, om, size, chosen, best_size):
-            if child[0]:
-                heapq.heappush(heap, (-child[0].bit_count(), child[1], len(made)))
-            made.append(child)
-            count += 1
-    return [f for f in made if f is not None]
-
-
 def _symmetry_perms(graph: ConflictGraph) -> tuple[list[int], ...]:
     """Complement, reversal and reverse complement as permutations of the
     vertex labels.  They are automorphisms of every search graph: the
@@ -415,29 +378,31 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     if not exhausted and (deadline is None or time.monotonic() <= deadline):
         # some image of every code under the symmetries lies in the roots
         roots = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
-        if config.workers == 1 or len(graph) <= 4:
+        procs = min(config.workers, len(roots), os.cpu_count() or 1)
+        if procs == 1:
             best_size, best_chosen, nodes, exhausted = _solve_stack(
                 adj, roots, best_size, best_chosen, deadline, upper, cliques
             )
         else:
-            subproblems = _split_frontier(adj, roots, best_size, 4 * config.workers)
+            # one root per task, each worker from the seed's size alone, in
+            # pop order: the root with the most open vertices first
+            solve = functools.partial(
+                _solve_stack, adj, best_size=best_size, best_chosen=0,
+                deadline=deadline, cap=upper, cliques=cliques,
+            )
+            stacks = [[root] for root in reversed(roots)]
             exhausted = True
-            # no solution in a subproblem beats its bound, so that caps its worker
-            tasks = [
-                (adj, om, size, chosen, best_size, deadline, min(upper, bound), cliques)
-                for om, size, chosen, bound in subproblems
-            ]
             # imported here: the process pool pulls in multiprocessing, pickle,
             # socket and logging, which no single-process job needs
             from concurrent.futures import ProcessPoolExecutor
 
             # the pool forks all its processes at the first submit
-            procs = max(1, min(config.workers, len(tasks), os.cpu_count() or 1))
             with ProcessPoolExecutor(max_workers=procs) as pool:
-                for size, chosen, sub_nodes, sub_done in pool.map(_solve_worker, tasks):
+                for size, chosen, sub_nodes, sub_done in pool.map(solve, stacks):
                     nodes += sub_nodes
                     exhausted = exhausted and sub_done
-                    if size > best_size or (size == best_size and chosen):
+                    # ties keep the earlier root in pop order
+                    if size > best_size:
                         best_size, best_chosen = size, chosen
     if config.canonical_witness and exhausted:
         best_chosen = _canonical_witness(

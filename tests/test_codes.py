@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from delcodes import (
     reverse_complement,
     vt_code,
 )
+from delcodes import codes
 
 EXAMPLE_CODE = Code(["00000", "11111", "00011", "11000", "10101", "01110"])
 
@@ -129,6 +131,22 @@ class TestPerfect:
     def test_precondition_reported_distinctly(self):
         with pytest.raises(ValueError, match="not 1-deletion-correcting"):
             is_perfect(Code(["00000", "00001"]), 1)
+
+    @pytest.mark.parametrize(
+        "text,t", [("00 11", 1), ("00000 11111 00011", 1), ("00000000 00000111", 2)]
+    )
+    def test_one_ball_per_codeword(self, monkeypatch, text, t):
+        built = Counter()
+        ball = codes._ball_packed
+
+        def counted(bits, *args):
+            built[bits] += 1
+            return ball(bits, *args)
+
+        monkeypatch.setattr(codes, "_ball_packed", counted)
+        code = Code(text.split())
+        is_perfect(code, t)
+        assert built == Counter(code.packed())
 
 
 class TestBasic:

@@ -38,7 +38,6 @@ from delcodes.search import (
     _root_bound,
     _root_state,
     _solve_stack,
-    _split_frontier,
     _symmetry_perms,
 )
 
@@ -268,6 +267,13 @@ class TestMaxCodeSize:
         assert r.exhausted and r.optimum == 16
         assert is_t_deletion_correcting(r.witness, 1)
 
+    def test_two_workers_keep_the_budget(self):
+        # t=1 n=9 is open: the workers stop at the deadline, not at a proof
+        r = max_code_size(SearchConfig(9, 1, workers=2, time_budget=1.0))
+        assert not r.exhausted
+        assert [r.optimum, r.upper_bound] == [52, 53]
+        assert r.wall_time_ms < 2_000
+
     @pytest.mark.parametrize("workers", [3, 100, 10_000])
     def test_pool_size_is_capped(self, monkeypatch, workers):
         # a serial stand-in for the pool: no process is started at any count
@@ -285,15 +291,19 @@ class TestMaxCodeSize:
                 return False
 
             def map(self, fn, tasks):
-                self.tasks = list(tasks)
-                return map(fn, self.tasks)
+                # each task is a stack that the solve consumes: keep a copy
+                self.tasks = [list(task) for task in tasks]
+                return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         r = max_code_size(SearchConfig(7, 1, workers=workers))
         assert r.exhausted and r.optimum == 16
         (pool,) = pools
-        assert pool.max_workers == max(1, min(workers, len(pool.tasks), 4))
+        assert pool.max_workers == min(workers, len(pool.tasks), 4)
+        # one orbit root per task, popped first: the most open vertices
+        opens = [om.bit_count() for ((om, *_),) in pool.tasks]
+        assert opens[0] == max(opens)
 
     def test_nan_budget_rejected(self):
         for budget in (float("nan"), -1.0):
@@ -456,22 +466,6 @@ def _graphs(draw, max_vertices=12):
     return tuple(adj)
 
 
-def _split_by_scan(adj, roots, best_size, target):
-    """The frontier split as a linear scan per expansion: max over the
-    expandable nodes by (open count, -size), first one on ties, then
-    list.remove."""
-    frontier = list(roots)
-    while len(frontier) < target:
-        expandable = [f for f in frontier if f[0]]
-        if not expandable:
-            break
-        node = max(expandable, key=lambda f: (f[0].bit_count(), -f[1]))
-        frontier.remove(node)
-        om, size, chosen, _ = node
-        frontier += search._children(adj, om, size, chosen, best_size)
-    return frontier
-
-
 class TestBranchAndBound:
     @settings(deadline=None, max_examples=150)
     @given(_graphs())
@@ -498,14 +492,6 @@ class TestBranchAndBound:
             assert done and (best >= size) == (size <= optimum)
             if best >= size:
                 assert chosen in independent
-        # the --threads split: each subproblem capped by its bound
-        parts = _split_frontier(adj, [(full, 0, 0, v)], 0, 8)
-        assert optimum == max(
-            _solve_stack(
-                adj, [(om, size, c, min(v, bound))], 0, 0, None, min(v, bound), none
-            )[0]
-            for om, size, c, bound in parts
-        )
         # collect every maximum set, each once
         found: list[int] = []
         _solve_stack(
@@ -514,45 +500,6 @@ class TestBranchAndBound:
         assert sorted(found) == [
             m for m in independent if m.bit_count() == optimum
         ]
-
-    @settings(deadline=None, max_examples=150)
-    @given(_graphs(), st.integers(0, 3), st.integers(1, 40))
-    def test_split_frontier_matches_scan(self, adj, best_size, target):
-        roots = [((1 << len(adj)) - 1, 0, 0, len(adj))]
-        assert _split_frontier(adj, roots, best_size, target) == _split_by_scan(
-            adj, roots, best_size, target
-        )
-
-    def test_split_frontier_matches_scan_at_t2_n9(self, monkeypatch):
-        # 10 000 workers ask for 40 000 subproblems; a serial stand-in for
-        # the pool starts no process
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        splits = []
-
-        def split(*args):
-            parts = _split_frontier(*args)
-            splits.append((args, parts))
-            return parts
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(search, "_split_frontier", split)
-        r = max_code_size(SearchConfig(9, 2, workers=10_000))
-        assert r.exhausted and r.optimum == 11
-        ((args, parts),) = splits
-        assert args[3] == 40_000
-        assert parts == _split_by_scan(*args)
 
     def test_node_counts(self):
         # expanded pops: 2 394 and 465 from the orbit roots in degree order;
@@ -646,13 +593,9 @@ class TestSymmetry:
         best, chosen, _, done = _solve_stack(adj, list(roots), 0, 0, None, v, none)
         assert done and best == optimum == chosen.bit_count()
         assert chosen in independent
-        # the --threads split of the roots
-        parts = _split_frontier(adj, roots, 0, 8)
+        # a --threads worker: each root alone from an empty incumbent
         assert optimum == max(
-            _solve_stack(
-                adj, [(m, size, c, min(v, bound))], 0, 0, None, min(v, bound), none
-            )[0]
-            for m, size, c, bound in parts
+            _solve_stack(adj, [root], 0, 0, None, v, none)[0] for root in roots
         )
         # collect reaches every orbit of maximum sets, each set at most once
         found: list[int] = []
