@@ -10,7 +10,6 @@ import os
 from typing import Iterable
 
 from .dominance import (
-    BRUTE_FORCE_CAP,
     _check_query,
     _dominant_pairs_packed,
     _dominant_words_packed,
@@ -106,7 +105,7 @@ def dominant_codewords(code: Code, t: int) -> list[Word]:
     """Codewords that dominate some other word of the full space."""
     _check_t(code, t)
     n = code.member_length
-    _check_query(n, t, BRUTE_FORCE_CAP)
+    _check_query(n, t)
     dominant = _dominant_words_packed(n, t)
     return [Word.from_bits(bits, n) for bits in code.packed() if bits in dominant]
 
@@ -128,7 +127,7 @@ def replace_dominant(code: Code, t: int) -> Code:
     if not is_t_deletion_correcting(code, t):
         raise ValueError(f"code is not {t}-deletion-correcting")
     n = code.member_length
-    _check_query(n, t, BRUTE_FORCE_CAP)
+    _check_query(n, t)
     subordinates: dict[int, list[int]] = {}
     for u, v in _dominant_pairs_packed(n, t):  # ascending in v
         subordinates.setdefault(u, []).append(v)

@@ -95,12 +95,10 @@ def _dominant_words_packed(n: int, t: int) -> frozenset[int]:
     return frozenset(u for u, _ in _dominant_pairs_packed(n, t))
 
 
-def enumerate_dominant_pairs(
-    n: int, t: int, cap: int = BRUTE_FORCE_CAP
-) -> list[DominancePair]:
+def enumerate_dominant_pairs(n: int, t: int) -> list[DominancePair]:
     """Every dominant pair of length n, by exhaustive scan; sorted by (v, u)."""
-    if not 2 <= n <= cap:
-        raise ValueError(f"length {n} outside enumeration range 2..{cap}")
+    if not 2 <= n <= BRUTE_FORCE_CAP:
+        raise ValueError(f"length {n} outside enumeration range 2..{BRUTE_FORCE_CAP}")
     if not 1 <= t <= 3:
         raise ValueError(f"deletion count {t} outside enumeration range 1..3")
     if t > n:
@@ -111,23 +109,23 @@ def enumerate_dominant_pairs(
     ]
 
 
-def dominators_of(v: Word, t: int, cap: int = BRUTE_FORCE_CAP) -> WordSet:
+def dominators_of(v: Word, t: int) -> WordSet:
     """All words dominating v."""
-    _check_query(v.n, t, cap)
+    _check_query(v.n, t)
     pairs = _dominant_pairs_packed(v.n, t)
     return WordSet._from_packed(v.n, (a for a, b in pairs if b == v.bits))
 
 
-def subordinates_of(u: Word, t: int, cap: int = BRUTE_FORCE_CAP) -> WordSet:
+def subordinates_of(u: Word, t: int) -> WordSet:
     """All words dominated by u."""
-    _check_query(u.n, t, cap)
+    _check_query(u.n, t)
     pairs = _dominant_pairs_packed(u.n, t)
     return WordSet._from_packed(u.n, (b for a, b in pairs if a == u.bits))
 
 
-def _check_query(n: int, t: int, cap: int) -> None:
-    if n > cap:
-        raise ValueError(f"length {n} exceeds scan cap {cap}")
+def _check_query(n: int, t: int) -> None:
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"length {n} exceeds scan cap {BRUTE_FORCE_CAP}")
     if not 1 <= t <= n:
         raise ValueError(f"deletion count {t} out of range 1..{n}")
 
@@ -408,6 +406,8 @@ INTERIOR_ROWS = (
 
 TWO_DELETION_ROWS = SUBSTITUTION_ROWS + OPPOSITE_ENDS_ROWS + INTERIOR_ROWS
 
+_ROWS = {1: (BOUNDARY_SWAP,), 2: TWO_DELETION_ROWS}
+
 
 class FilteredInstance(NamedTuple):
     """A pattern-row instantiation rejected by the checked constructor."""
@@ -446,16 +446,11 @@ def generate_closed_form(n: int, t: int) -> list[DominancePair]:
 
 def closed_form_generation(n: int, t: int) -> GenerationResult:
     """Closed-form generation with provenance, for t of one or two deletions."""
-    if t == 1:
-        if n < 2:
-            raise ValueError("single-deletion tables need length at least 2")
-        acc, filtered = _generate_t1(n)
-    elif t == 2:
-        if n < 3:
-            raise ValueError("double-deletion tables need length at least 3")
-        acc, filtered = _generate_t2(n)
-    else:
+    if t not in _ROWS:
         raise ValueError(f"no closed-form tables for t={t}")
+    if n <= t:
+        raise ValueError(f"closed-form tables for t={t} need length at least {t + 1}")
+    acc, filtered = _generate(n, t)
 
     pairs = {}
     for (ub, vb), tags in sorted(acc.items(), key=lambda kv: (kv[0][1], kv[0][0])):
@@ -466,37 +461,23 @@ def closed_form_generation(n: int, t: int) -> GenerationResult:
     )
 
 
-def _generate_t1(n: int):
+# Every length from t + 1 up comes from the rows alone, with no exhaustive
+# scan: the constant-word subordinates, at t = 2 the monotone lift of the
+# t = 1 pairs, and each row instance at p in {0, 1} and every m, closed under
+# complement and reversal.
+def _generate(n: int, t: int):
     acc: dict[tuple[int, int], set[str]] = {}
     filtered: list[FilteredInstance] = []
-    _add_constant_subordinates(acc, n, 1)
-    for p in (0, 1):
-        for m in range(1, n):
-            _try_row(acc, filtered, BOUNDARY_SWAP, n, m, p, t=1)
-    return acc, filtered
-
-
-def _generate_t2(n: int):
-    acc: dict[tuple[int, int], set[str]] = {}
-    filtered: list[FilteredInstance] = []
-    _add_constant_subordinates(acc, n, 2)
-
-    # anything dominant under one deletion stays dominant under two
-    t1_acc, _ = _generate_t1(n)
-    for key in t1_acc:
-        acc.setdefault(key, set()).add("monotone-lift")
-
-    if n <= 4:
-        # short lengths are handled by exhaustive scan, not pattern rows
-        for u, v in _dominant_pairs_packed(n, 2):
-            acc.setdefault((u, v), set()).add("small-n")
-        return acc, filtered
-
-    for pattern in TWO_DELETION_ROWS:
+    _add_constant_subordinates(acc, n, t)
+    if t == 2:
+        # anything dominant under one deletion stays dominant under two
+        for key in _generate(n, 1)[0]:
+            acc.setdefault(key, set()).add("monotone-lift")
+    for pattern in _ROWS[t]:
         ms = range(n + 1) if pattern.uses_m else (None,)
         for p in (0, 1):
             for m in ms:
-                _try_row(acc, filtered, pattern, n, m, p, t=2, close=True)
+                _try_row(acc, filtered, pattern, n, m, p, t)
     return acc, filtered
 
 
@@ -512,7 +493,7 @@ def _add_constant_subordinates(acc, n: int, t: int) -> None:
             acc.setdefault((ub, one), set()).add("all-one")
 
 
-def _try_row(acc, filtered, pattern: PatternPair, n, m, p, t, close=False) -> None:
+def _try_row(acc, filtered, pattern: PatternPair, n, m, p, t) -> None:
     inst = pattern.instantiate(n, 0 if m is None else m, p)
     if inst is None:
         return
@@ -520,10 +501,7 @@ def _try_row(acc, filtered, pattern: PatternPair, n, m, p, t, close=False) -> No
     if u == v or not is_dominant(u, v, t):
         filtered.append(FilteredInstance(pattern.tag, n, m, p, u, v))
         return
-    images = [(u.bits, v.bits)]
-    if close:
-        images = zip(_images(u.bits, n), _images(v.bits, n))
-    for key in images:
+    for key in zip(_images(u.bits, n), _images(v.bits, n)):
         acc.setdefault(key, set()).add(pattern.tag)
 
 
@@ -579,13 +557,11 @@ class CharacterizationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def verify_characterization(
-    n: int, t: int, cap: int = BRUTE_FORCE_CAP
-) -> CharacterizationReport:
+def verify_characterization(n: int, t: int) -> CharacterizationReport:
     """Check the closed-form tables against the exhaustive enumeration."""
-    if t not in (1, 2):
+    if t not in _ROWS:
         raise ValueError(f"no closed-form tables for t={t}")
-    brute = enumerate_dominant_pairs(n, t, cap=cap)
+    brute = enumerate_dominant_pairs(n, t)
     generation = closed_form_generation(n, t)
     brute_set = set(brute)
     generated_set = set(generation.pairs)

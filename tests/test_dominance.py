@@ -24,8 +24,10 @@ from delcodes import (
     verify_characterization,
     weight,
 )
+from delcodes import dominance
 from delcodes.dominance import (
     BOUNDARY_SWAP,
+    BRUTE_FORCE_CAP,
     TWO_DELETION_ROWS,
     _dominant_pairs_packed,
 )
@@ -134,9 +136,6 @@ class TestEnumeration:
             enumerate_dominant_pairs(6, 4)
         with pytest.raises(ValueError):
             enumerate_dominant_pairs(2, 3)
-        enumerate_dominant_pairs(8, 1, cap=8)
-        with pytest.raises(ValueError):
-            enumerate_dominant_pairs(9, 1, cap=8)
 
 
 class TestDominatorsAndSubordinates:
@@ -169,7 +168,7 @@ class TestDominatorsAndSubordinates:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            dominators_of(Word.zeros(9), 1, cap=8)
+            dominators_of(Word.zeros(BRUTE_FORCE_CAP + 1), 1)
 
 
 class TestClosedForm:
@@ -202,6 +201,15 @@ class TestClosedForm:
     def test_unsupported_t(self):
         with pytest.raises(ValueError):
             generate_closed_form(6, 3)
+
+    def test_never_reads_the_exhaustive_table(self, monkeypatch):
+        def no_scan(n, t):
+            raise AssertionError(f"exhaustive scan at n={n} t={t}")
+
+        monkeypatch.setattr(dominance, "_dominant_pairs_packed", no_scan)
+        for t, lengths in ((1, range(2, 9)), (2, range(3, 9))):
+            for n in lengths:
+                assert closed_form_generation(n, t).pairs
 
     def test_minimum_lengths(self):
         with pytest.raises(ValueError):
@@ -330,9 +338,13 @@ class TestVerification:
             assert report.brute_count == BRUTE_COUNTS_T2[n]
 
     def test_small_n_exhaustive_base_cases(self):
-        for n in (3, 4):
+        # the shortest double-deletion lengths come from the rows alone too
+        for n, filtered in ((3, 2), (4, 6)):
             report = verify_characterization(n, 2)
-            assert not report.missing  # built from the brute-force set itself
+            assert report.confirmed
+            assert len(report.filtered) == filtered
+            tags = closed_form_generation(n, 2).provenance.values()
+            assert not any("small-n" in t for t in tags)
 
     def test_report_is_honest_about_diffs(self):
         # the diff fields come from set differences against the enumeration,
