@@ -18,6 +18,7 @@ from .words import (
     _ball_packed,
     _ball_table,
     _containers,
+    _deletion_masks,
     _frozen_table,
     _images,
     _lcs_packed,
@@ -66,25 +67,46 @@ def is_dominant(u: Word, v: Word, t: int) -> bool:
 def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """All packed (u, v) with u dominant over v, sorted by (v, u).
 
-    The dominators of v are the words whose ball holds every member of v's
-    ball: the intersection of the members' container sets, which leaves out
-    every word at ball distance above t.  Complement and reversal map balls
-    to balls, so one v per orbit is scanned and each pair found stands for
-    its images under them.
+    Each length-(n - t) window of v, `v >> k & low` for k = 0..t, is v after
+    t deletions, so every dominator of v holds all t + 1 windows in its
+    ball: the candidates are the intersection of the windows' holder sets,
+    built by insertion for this scan alone.  Few words keep a candidate
+    other than themselves, and only those compare balls, once the holder
+    table is gone; each ball is the union of the (n - 1, t - 1) balls of its
+    one-deletion neighbours.  Complement and reversal map balls to balls, so
+    one v per orbit is scanned and each pair found stands for its images
+    under them.
     """
-    balls = _ball_table(n, t)
     holders = _containers(n, t).__getitem__
-    pairs: set[tuple[int, int]] = set()
+    low = (1 << (n - t)) - 1
+    found: list[tuple[int, frozenset[int]]] = []
     seen: set[int] = set()
     for v in range(1 << n):
         if v in seen:
             continue
-        v_images = _images(v, n)
-        seen.update(v_images)
-        cand = frozenset.intersection(*map(holders, balls[v]))
+        seen.update(_images(v, n))
+        cand = frozenset.intersection(*[holders(v >> k & low) for k in range(t + 1)])
+        if len(cand) > 1:
+            found.append((v, cand))
+    # freed before any ball is built, so that the two never share the peak
+    del holders
+
+    masks = _deletion_masks(n)
+    prev = _ball_table(n - 1, t - 1).__getitem__
+    empty: frozenset[int] = frozenset()
+    balls: dict[int, frozenset[int]] = {}
+
+    def ball(b: int) -> frozenset[int]:
+        if b not in balls:
+            ball1 = {b & lo | (b >> 1) & hi for lo, hi in masks}
+            balls[b] = empty.union(*map(prev, ball1))
+        return balls[b]
+
+    pairs: set[tuple[int, int]] = set()
+    for v, cand in found:
         for u in cand:
-            if u != v:
-                pairs.update(zip(_images(u, n), v_images))
+            if u != v and ball(v) <= ball(u):
+                pairs.update(zip(_images(u, n), _images(v, n)))
     return tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
 
 
@@ -410,7 +432,7 @@ _ROWS = {1: (BOUNDARY_SWAP,), 2: TWO_DELETION_ROWS}
 
 
 class FilteredInstance(NamedTuple):
-    """A pattern-row instantiation rejected by the checked constructor."""
+    """A pattern-row instance with u != v that fails the dominance test."""
 
     source: str
     n: int
@@ -498,7 +520,10 @@ def _try_row(acc, filtered, pattern: PatternPair, n, m, p, t) -> None:
     if inst is None:
         return
     u, v = inst
-    if u == v or not is_dominant(u, v, t):
+    # no pair at all: interior:18 at m = n gives u = v = 0...0 or 1...1
+    if u == v:
+        return
+    if not is_dominant(u, v, t):
         filtered.append(FilteredInstance(pattern.tag, n, m, p, u, v))
         return
     for key in zip(_images(u.bits, n), _images(v.bits, n)):

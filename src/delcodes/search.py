@@ -362,6 +362,21 @@ def _orbit_roots(
     return roots
 
 
+# (adj, best_size, deadline, cap, cliques) for the roots a --threads worker
+# runs, set once in each worker process by the pool's initializer
+_worker_search: tuple = ()
+
+
+def _set_worker_search(*shared) -> None:
+    global _worker_search
+    _worker_search = shared
+
+
+def _solve_root(root: tuple[int, int, int, int]) -> tuple[int, int, int, bool]:
+    adj, best_size, deadline, cap, cliques = _worker_search
+    return _solve_stack(adj, [root], best_size, 0, deadline, cap, cliques)
+
+
 def max_code_size(config: SearchConfig) -> SearchResult:
     """Exact maximum cardinality of a t-deletion-correcting code of length n."""
     config.validate()
@@ -385,20 +400,20 @@ def max_code_size(config: SearchConfig) -> SearchResult:
             )
         else:
             # one root per task, each worker from the seed's size alone, in
-            # pop order: the root with the most open vertices first
-            solve = functools.partial(
-                _solve_stack, adj, best_size=best_size, best_chosen=0,
-                deadline=deadline, cap=upper, cliques=cliques,
-            )
-            stacks = [[root] for root in reversed(roots)]
+            # pop order: the root with the most open vertices first; the
+            # graph and the certificate go to each worker once, not per task
+            shared = (adj, best_size, deadline, upper, cliques)
             exhausted = True
             # imported here: the process pool pulls in multiprocessing, pickle,
             # socket and logging, which no single-process job needs
             from concurrent.futures import ProcessPoolExecutor
 
             # the pool forks all its processes at the first submit
-            with ProcessPoolExecutor(max_workers=procs) as pool:
-                for size, chosen, sub_nodes, sub_done in pool.map(solve, stacks):
+            with ProcessPoolExecutor(
+                max_workers=procs, initializer=_set_worker_search, initargs=shared
+            ) as pool:
+                results = pool.map(_solve_root, reversed(roots))
+                for size, chosen, sub_nodes, sub_done in results:
                     nodes += sub_nodes
                     exhausted = exhausted and sub_done
                     # ties keep the earlier root in pop order

@@ -322,11 +322,19 @@ def _images(bits: int, n: int) -> tuple[int, int, int, int]:
 
 def _ball_packed(bits: int, n: int, t: int) -> frozenset[int]:
     """Packed values of all distinct subsequences after t deletions."""
+    masks = _deletion_masks(n)
     level = {bits}
     for k in range(t):
-        ln = n - k
-        level = {_delete_packed(b, ln, i) for b in level for i in range(1, ln + 1)}
+        level = {b & lo | (b >> 1) & hi for b in level for lo, hi in masks[: n - k]}
     return frozenset(level)
+
+
+@functools.lru_cache(maxsize=None)
+def _deletion_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """(lo, hi) for each bit s of an n-bit word: dropping the symbol at bit s
+    keeps the s bits below it (b & lo) and shifts the bits above it down by
+    one ((b >> 1) & hi)."""
+    return tuple([((1 << s) - 1, -1 << s) for s in range(n)])
 
 
 def _frozen_table(fn):
@@ -361,9 +369,7 @@ def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
     """Deletion balls of every length-n word, indexed by packed value."""
     if t == 0:
         return tuple(frozenset((b,)) for b in range(1 << n))
-    # dropping the symbol above bit s keeps the s bits below it and shifts
-    # the bits above it down by one
-    masks = [((1 << s) - 1, -1 << s) for s in range(n)]
+    masks = _deletion_masks(n)
     ball1 = ({b & lo | (b >> 1) & hi for lo, hi in masks} for b in range(1 << n))
     if t == 1:
         return tuple(map(frozenset, ball1))
@@ -372,14 +378,27 @@ def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
     return tuple([empty.union(*map(prev, d)) for d in ball1])
 
 
-@functools.lru_cache(maxsize=None)
-@_frozen_table
-def _containers(n: int, t: int) -> tuple[frozenset[int], ...]:
-    """For each length n-t word, the length-n words whose deletion ball holds it."""
-    holders: list[list[int]] = [[] for _ in range(1 << (n - t))]
-    for b, ball in enumerate(_ball_table(n, t)):
-        for member in ball:
-            holders[member].append(b)
-    # a frozenset copied from a set gets a table sized to its members;
-    # one grown from a list keeps a table up to twice as large
-    return tuple([frozenset(set(h)) for h in holders])
+def _containers(n: int, t: int) -> list[frozenset[int]]:
+    """For each length n-t word, the length-n words whose deletion ball holds
+    it: its supersequences after t insertions, indexed by packed value.
+
+    Not cached: the pair scan needs it for one build, and a table as large
+    as the ball table kept for the life of the process would raise the peak
+    of every later search."""
+    if t == 0:
+        return [frozenset((b,)) for b in range(1 << n)]
+    m = n - t
+    # inserting a symbol at bit s keeps the s bits below it, shifts the bits
+    # from s up by one and sets bit s to the symbol
+    masks = [((1 << s) - 1, -1 << (s + 1), 1 << s) for s in range(m + 1)]
+    # one int object per word, shared by every set that holds it
+    word = list(range(1 << (m + 1)))
+    ins1 = (
+        {word[y & lo | (y << 1) & hi | c] for lo, hi, bit in masks for c in (0, bit)}
+        for y in range(1 << m)
+    )
+    if t == 1:
+        return list(map(frozenset, ins1))
+    nxt = _containers(n, t - 1).__getitem__
+    empty: frozenset[int] = frozenset()
+    return [empty.union(*map(nxt, d)) for d in ins1]

@@ -41,6 +41,10 @@ PAIR_TABLE_SHA256 = {
     (10, 2): "28d0b311c9369fb25f03b68ecb4ed0eeede9732aad864d6fe5baedac7291c54b",
     (12, 2): "78572a0da5990b9331637db80342b1bf3505ce6f76dc1dc3c0e501cfea179fb3",
     (11, 3): "28dce6cf053ec34489f1e7adafa215d81a6ebbf47c8482d1c199db4e80ea7667",
+    (13, 1): "4764dc5c3916fdce67cfe9800f3f2d5bc056d8ac0cf0824d03722c06f05447fc",
+    (14, 1): "cea7d545748d3193556e31e37b7c5954f8e04d5ade7439c96e9fbab85038ad70",
+    (14, 2): "1e5426ebdd27bf8b23318a58b2fabd7d7923ab47b786d3ca473cb48dd24efc3f",
+    (12, 3): "72d9412a52e4f30418a6e6fcc267226c36e3ba839200fcfb2b2667860dd52e1f",
 }
 
 
@@ -126,6 +130,21 @@ class TestEnumeration:
     def test_pair_table_pinned(self, n, t):
         digest = hashlib.sha256(repr(_dominant_pairs_packed(n, t)).encode())
         assert digest.hexdigest() == PAIR_TABLE_SHA256[n, t]
+
+    @pytest.mark.parametrize("n, t", [(6, 1), (7, 2), (8, 3)])
+    def test_scan_never_builds_the_scanned_ball_table(self, monkeypatch, n, t):
+        built = []
+        table = dominance._ball_table
+
+        def recorded(*args):
+            built.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(dominance, "_ball_table", recorded)
+        pairs = _dominant_pairs_packed.__wrapped__(n, t)
+        monkeypatch.undo()
+        assert built and (n, t) not in built
+        assert pairs == _dominant_pairs_packed(n, t)
 
     def test_caps(self):
         with pytest.raises(ValueError):
@@ -339,7 +358,7 @@ class TestVerification:
 
     def test_small_n_exhaustive_base_cases(self):
         # the shortest double-deletion lengths come from the rows alone too
-        for n, filtered in ((3, 2), (4, 6)):
+        for n, filtered in ((3, 0), (4, 4)):
             report = verify_characterization(n, 2)
             assert report.confirmed
             assert len(report.filtered) == filtered

@@ -280,9 +280,11 @@ class TestMaxCodeSize:
         pools = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 self.max_workers = max_workers
                 pools.append(self)
+                # the one worker is this process
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -291,10 +293,11 @@ class TestMaxCodeSize:
                 return False
 
             def map(self, fn, tasks):
-                # each task is a stack that the solve consumes: keep a copy
-                self.tasks = [list(task) for task in tasks]
-                return map(fn, tasks)
+                self.tasks = list(tasks)
+                return map(fn, self.tasks)
 
+        # the stand-in's worker state is this module's: restored afterwards
+        monkeypatch.setattr(search, "_worker_search", ())
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         r = max_code_size(SearchConfig(7, 1, workers=workers))
@@ -302,7 +305,7 @@ class TestMaxCodeSize:
         (pool,) = pools
         assert pool.max_workers == min(workers, len(pool.tasks), 4)
         # one orbit root per task, popped first: the most open vertices
-        opens = [om.bit_count() for ((om, *_),) in pool.tasks]
+        opens = [om.bit_count() for (om, *_) in pool.tasks]
         assert opens[0] == max(opens)
 
     def test_nan_budget_rejected(self):

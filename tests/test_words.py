@@ -211,13 +211,14 @@ class TestBallTables:
                     assert table[b] == _ball_packed(b, n, t), (n, t, b)
 
     def test_containers_invert_the_ball_table(self):
+        # built by insertion, checked against the inverted deletion balls
         for n in range(11):
             for t in range(min(3, n) + 1):
                 inverse = [set() for _ in range(1 << (n - t))]
                 for b, ball in enumerate(_ball_table(n, t)):
                     for y in ball:
                         inverse[y].add(b)
-                assert _containers(n, t) == tuple(map(frozenset, inverse)), (n, t)
+                assert _containers(n, t) == list(map(frozenset, inverse)), (n, t)
 
     def test_builds_pause_the_collector_and_restore_it(self):
         assert _frozen_table(gc.isenabled)() is False
@@ -234,7 +235,7 @@ class TestBallTables:
                 tracked = {id(o) for o in gc.get_objects()}
                 assert not any(id(ball) in tracked for ball in table)
                 with pytest.raises(ValueError):
-                    _containers.__wrapped__(-1, 1)
+                    _ball_table.__wrapped__(-1, 1)
                 assert gc.isenabled() is state
         finally:
             (gc.enable if was else gc.disable)()
