@@ -12,13 +12,15 @@ The weights come from the dual of the packing LP over these cliques
 under complement and reversal by a dense float simplex whose right-hand
 side is nonnegative, so the slack basis is feasible from the start.  Its
 duals are rounded to integers and c is recomputed exactly over every open
-vertex, so the bound holds whatever the float error, and for the duals of
-any simplex iterate, not only the optimal one.
+vertex, so the bound holds whatever the float error, for the duals of any
+simplex iterate, not only the optimal one, and for any integer weights at
+all: the search reads the optimal ones from a stored table (_root_data.py),
+which a stale or wrong row can only make weak.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .words import _ball_table, _images
 
@@ -121,28 +123,41 @@ def dual_iterates(graph, open_mask: int) -> Iterator[list[float]]:
         basis[leave] = enter
 
 
+def integer_weights(duals: Sequence[float]) -> dict[int, int]:
+    """The positive weights W_y of float duals on the integer scale of
+    certify, keyed by packed word y."""
+    weights = {}
+    for y, w in enumerate(duals):
+        w = round(w * _SCALE)
+        if w > 0:
+            weights[y] = w
+    return weights
+
+
 def certify(
-    graph, open_mask: int, duals: Sequence[float]
+    graph, open_mask: int, weights: Mapping[int, int]
 ) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """Integer certificate from float duals over the open vertices.
+    """Integer certificate from weights W_y over the open vertices.
 
     Returns (c, containers): c is the least weight of any vertex ball, and
     containers pairs, for each positive-weight y, the mask of vertex indices
     whose balls hold y with the weight W_y (pairs with one mask merged).  A
     code among the vertices of an open mask om has at most
-    sum(w for mask, w in containers if mask & om) // c words.  None when
-    some vertex ball carries no weight, which proves nothing.
+    sum(w for mask, w in containers if mask & om) // c words.  Words missing
+    from `weights`, or given a weight below 1, weigh nothing, so any mapping
+    gives a sound bound.  None when some vertex ball carries no weight,
+    which proves nothing.
     """
     balls = _ball_table(graph.word_length, graph.t)
     vertices = _open_words(graph, open_mask)
-    weight = [max(0, round(w * _SCALE)) for w in duals]
-    c = min(sum(weight[y] for y in balls[x]) for _, x in vertices)
+    weight = {y: w for y, w in weights.items() if w > 0}
+    c = min(sum(weight.get(y, 0) for y in balls[x]) for _, x in vertices)
     if c <= 0:
         return None
     masks: dict[int, int] = {}
     for i, x in vertices:
         for y in balls[x]:
-            if weight[y]:
+            if y in weight:
                 masks[y] = masks.get(y, 0) | 1 << i
     merged: dict[int, int] = {}
     for y, mask in masks.items():

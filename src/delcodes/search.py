@@ -11,22 +11,29 @@ every child (the colouring branch-and-bound of MCQ and BBMC, seen from the
 complement graph).  Two search-space reductions are available, both
 applied once at the root: dropping dominated words and pre-selecting the
 two constant words.
+
+Two root inputs depend only on (n, t): the dominant words dropped, each with
+a kept subordinate, and the optimal weights of the root LP.  The search
+reads both from stored rows and re-checks them (see rows.py), so a stale
+row can make a search slower, never wrong.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from typing import NamedTuple
 
-from .bound import certify, dual_iterates
+from .bound import certify, dual_iterates, integer_weights
 from .codes import Code, vt_code
-from .dominance import BRUTE_FORCE_CAP, _dominant_pairs_packed, _dominant_words_packed
-from .words import Word, _ball_packed, _ball_table, _frozen_table, _images
+from .dominance import BRUTE_FORCE_CAP, _dominant_words_packed
+from .words import Word, _ball_packed, _ball_table, _images
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
 ENUMERATION_CAP = 7
+# nodes a multi-process search expands serially before it starts its pool,
+# about what the pool costs to start: a smaller tree never starts one
+_SERIAL_PREFIX_NODES = 4096
 
 
 class SearchBudgetExceeded(Exception):
@@ -122,15 +129,12 @@ def build_candidates(n: int, t: int, basic_only: bool) -> list[Word]:
     if n > SEARCH_CAPS[t]:
         raise ValueError(f"length {n} exceeds search cap {SEARCH_CAPS[t]} for t={t}")
     if basic_only:
-        dominant = _dominant_words_packed(n, t)
-        # a code trades a dominant word for a basic subordinate, whose ball
-        # lies inside its own; without one, dropping the word could lose codes
-        if len(_basic_subordinates(n, t)) != len(dominant):
-            raise ValueError(
-                f"dominance pruning unsound at n={n}, t={t}: "
-                "a dominant word has no basic subordinate"
-            )
-        return [Word.from_bits(b, n) for b in range(1 << n) if b not in dominant]
+        # imported on use, as in max_code_size and _initial_incumbent: starting
+        # the CLI compiles neither the stored rows nor their checks
+        from .rows import pruning
+
+        pruned = pruning(n, t)
+        return [Word.from_bits(b, n) for b in range(1 << n) if b not in pruned]
     return [Word.from_bits(b, n) for b in range(1 << n)]
 
 
@@ -252,6 +256,7 @@ def _solve_stack(
     cap: int,
     cliques: tuple[int, tuple[tuple[int, int], ...]],
     found: list[int] | None = None,
+    limit: int | None = None,
 ) -> tuple[int, int, int, bool]:
     """Exact max independent set over the subproblems (open mask, size,
     chosen, bound) on the stack, the last popped first.
@@ -266,7 +271,8 @@ def _solve_stack(
     incumbent reaches `cap`, a proved upper bound.  Returns (best_size,
     best_chosen, nodes, exhausted), nodes counting the pops that were
     expanded; on deadline expiry the best found so far comes back with
-    exhausted False.
+    exhausted False, and so it does after `limit` expanded nodes, with every
+    subproblem not yet expanded left on the stack.
 
     The same loop serves three modes.  Maximise: best_size is an incumbent
     and cap a proved bound.  Find a solution of size T: best_size T - 1 and
@@ -287,6 +293,9 @@ def _solve_stack(
         if bound <= best_size:
             continue
         if deadline is not None and time.monotonic() > deadline:
+            return best_size, best_chosen, nodes, False
+        if nodes == limit:
+            stack.append((om, size, chosen, bound))
             return best_size, best_chosen, nodes, False
         nodes += 1
         if size > best_size:
@@ -362,8 +371,8 @@ def _orbit_roots(
     return roots
 
 
-# (adj, best_size, deadline, cap, cliques) for the roots a --threads worker
-# runs, set once in each worker process by the pool's initializer
+# (adj, best_size, deadline, cap, cliques) for the subproblems a --threads
+# worker runs, set once in each worker process by the pool's initializer
 _worker_search: tuple = ()
 
 
@@ -372,9 +381,9 @@ def _set_worker_search(*shared) -> None:
     _worker_search = shared
 
 
-def _solve_root(root: tuple[int, int, int, int]) -> tuple[int, int, int, bool]:
+def _solve_task(task: tuple[int, int, int, int]) -> tuple[int, int, int, bool]:
     adj, best_size, deadline, cap, cliques = _worker_search
-    return _solve_stack(adj, [root], best_size, 0, deadline, cap, cliques)
+    return _solve_stack(adj, [task], best_size, 0, deadline, cap, cliques)
 
 
 def max_code_size(config: SearchConfig) -> SearchResult:
@@ -386,22 +395,28 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     adj = graph.adj
 
     best_size, best_chosen = _initial_incumbent(graph, open0, size0, chosen0)
-    upper, cliques = _root_bound(graph, open0, size0, deadline)
+    from .rows import stored_weights
+
+    upper, cliques = _root_bound(graph, open0, size0, deadline, stored_weights(config))
 
     nodes, exhausted = 0, best_size >= upper
     # nothing is searched once the root bound has spent the budget
     if not exhausted and (deadline is None or time.monotonic() <= deadline):
         # some image of every code under the symmetries lies in the roots
-        roots = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
-        procs = min(config.workers, len(roots), os.cpu_count() or 1)
-        if procs == 1:
-            best_size, best_chosen, nodes, exhausted = _solve_stack(
-                adj, roots, best_size, best_chosen, deadline, upper, cliques
-            )
-        else:
-            # one root per task, each worker from the seed's size alone, in
-            # pop order: the root with the most open vertices first; the
-            # graph and the certificate go to each worker once, not per task
+        stack = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
+        procs = min(config.workers, os.cpu_count() or 1)
+        # with several processes, a serial prefix first: a small tree ends
+        # in it and starts no pool; the prefix leaves at least one
+        # subproblem on the stack when it does not end the tree
+        best_size, best_chosen, nodes, exhausted = _solve_stack(
+            adj, stack, best_size, best_chosen, deadline, upper, cliques,
+            limit=_SERIAL_PREFIX_NODES if procs > 1 else None,
+        )
+        if not exhausted and (deadline is None or time.monotonic() <= deadline):
+            # one subproblem per task, in pop order, each worker from the
+            # prefix's incumbent size alone; the graph and the certificate
+            # go to each worker once, not per task
+            tasks = [node for node in reversed(stack) if node[3] > best_size]
             shared = (adj, best_size, deadline, upper, cliques)
             exhausted = True
             # imported here: the process pool pulls in multiprocessing, pickle,
@@ -410,13 +425,14 @@ def max_code_size(config: SearchConfig) -> SearchResult:
 
             # the pool forks all its processes at the first submit
             with ProcessPoolExecutor(
-                max_workers=procs, initializer=_set_worker_search, initargs=shared
+                max_workers=min(procs, len(tasks)),
+                initializer=_set_worker_search,
+                initargs=shared,
             ) as pool:
-                results = pool.map(_solve_root, reversed(roots))
-                for size, chosen, sub_nodes, sub_done in results:
+                for size, chosen, sub_nodes, sub_done in pool.map(_solve_task, tasks):
                     nodes += sub_nodes
                     exhausted = exhausted and sub_done
-                    # ties keep the earlier root in pop order
+                    # ties keep the earlier subproblem in pop order
                     if size > best_size:
                         best_size, best_chosen = size, chosen
     if config.canonical_witness and exhausted:
@@ -441,19 +457,26 @@ def max_code_size(config: SearchConfig) -> SearchResult:
 
 
 def _root_bound(
-    graph: ConflictGraph, open0: int, size0: int, deadline: float | None
+    graph: ConflictGraph,
+    open0: int,
+    size0: int,
+    deadline: float | None,
+    weights: dict[int, int] | None = None,
 ) -> tuple[int, tuple[int, tuple[tuple[int, int], ...]]]:
     """Proved upper bound on the optimum, and the node certificate for
-    _solve_stack.  The simplex stops at the deadline; the duals of whatever
+    _solve_stack, from the integer LP weights given or else from the
+    simplex.  The simplex stops at the deadline; the duals of whatever
     iterate it reached still certify a (weaker) bound."""
     upper = size0 + len(_clique_classes(open0, graph.adj))
     if not open0:
         return upper, (1, ())
-    duals: list[float] = []
-    for duals in dual_iterates(graph, open0):
-        if deadline is not None and time.monotonic() > deadline:
-            break
-    cliques = certify(graph, open0, duals)
+    if weights is None:
+        duals: list[float] = []
+        for duals in dual_iterates(graph, open0):
+            if deadline is not None and time.monotonic() > deadline:
+                break
+        weights = integer_weights(duals)
+    cliques = certify(graph, open0, weights)
     if cliques is None:
         return upper, (1, ())
     unit, containers = cliques
@@ -515,8 +538,10 @@ def _initial_incumbent(
     size, chosen = _greedy_independent(open0, graph.adj, rank)
     best_size, best_chosen = size + size0, chosen | chosen0
     if graph.t == 1:
+        from .rows import pruning
+
         n = graph.word_length
-        subordinate = _basic_subordinates(n, 1)
+        subordinate = pruning(n, 1)
         for a in range(n + 1):
             mask = 0
             for bits in vt_code(n, a).packed():
@@ -530,18 +555,6 @@ def _initial_incumbent(
             if mask.bit_count() > best_size:
                 best_size, best_chosen = mask.bit_count(), mask
     return best_size, best_chosen
-
-
-@functools.lru_cache(maxsize=None)
-@_frozen_table
-def _basic_subordinates(n: int, t: int) -> dict[int, int]:
-    """For each dominant word, its smallest subordinate that is not dominant."""
-    dominant = _dominant_words_packed(n, t)
-    out: dict[int, int] = {}
-    for u, v in _dominant_pairs_packed(n, t):  # ascending in v
-        if v not in dominant:
-            out.setdefault(u, v)
-    return out
 
 
 def _prepare(config: SearchConfig):

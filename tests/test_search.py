@@ -23,8 +23,8 @@ from delcodes import (
     max_code_size,
     weight,
 )
-from delcodes import search
-from delcodes.bound import certify, dual_iterates
+from delcodes import _root_data, dominance, rows, search
+from delcodes.bound import certify, dual_iterates, integer_weights
 from delcodes.dominance import _dominant_pairs_packed
 from delcodes.search import (
     SEARCH_CAPS,
@@ -143,6 +143,36 @@ class TestConflictGraph:
         g = build_conflict_graph([Word("00"), Word("11")], 1)
         with pytest.raises(ValueError):
             g.index_of(Word("01"))
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A serial stand-in for the --threads pool, on 4 CPUs: no process is
+    started at any count.  Yields the pools made, each with its tasks."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.max_workers = max_workers
+            pools.append(self)
+            # the one worker is this process
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            self.tasks = list(tasks)
+            return map(fn, self.tasks)
+
+    # the stand-in's worker state is this module's: restored afterwards
+    monkeypatch.setattr(search, "_worker_search", ())
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return pools
 
 
 class TestMaxCodeSize:
@@ -267,6 +297,19 @@ class TestMaxCodeSize:
         assert r.exhausted and r.optimum == 16
         assert is_t_deletion_correcting(r.witness, 1)
 
+    def test_small_tree_never_starts_a_pool(self, monkeypatch):
+        # both trees end inside the serial prefix
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for n, t in ((7, 1), (9, 2)):
+            serial = max_code_size(SearchConfig(n, t))
+            r = max_code_size(SearchConfig(n, t, workers=2))
+            assert serial.node_count < search._SERIAL_PREFIX_NODES
+            assert r.node_count == serial.node_count
+            assert r.witness == serial.witness
+
     def test_two_workers_keep_the_budget(self):
         # t=1 n=9 is open: the workers stop at the deadline, not at a proof
         r = max_code_size(SearchConfig(9, 1, workers=2, time_budget=1.0))
@@ -275,38 +318,29 @@ class TestMaxCodeSize:
         assert r.wall_time_ms < 2_000
 
     @pytest.mark.parametrize("workers", [3, 100, 10_000])
-    def test_pool_size_is_capped(self, monkeypatch, workers):
-        # a serial stand-in for the pool: no process is started at any count
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
-                self.max_workers = max_workers
-                pools.append(self)
-                # the one worker is this process
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                self.tasks = list(tasks)
-                return map(fn, self.tasks)
-
-        # the stand-in's worker state is this module's: restored afterwards
-        monkeypatch.setattr(search, "_worker_search", ())
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def test_pool_size_is_capped(self, serial_pool, monkeypatch, workers):
+        # no serial prefix: every orbit root goes to the pool
+        monkeypatch.setattr(search, "_SERIAL_PREFIX_NODES", 0)
         r = max_code_size(SearchConfig(7, 1, workers=workers))
         assert r.exhausted and r.optimum == 16
-        (pool,) = pools
+        (pool,) = serial_pool
         assert pool.max_workers == min(workers, len(pool.tasks), 4)
         # one orbit root per task, popped first: the most open vertices
         opens = [om.bit_count() for (om, *_) in pool.tasks]
         assert opens[0] == max(opens)
+
+    @pytest.mark.parametrize("prefix", [0, 1, 100])
+    def test_prefix_and_tasks_expand_the_serial_tree(
+        self, serial_pool, monkeypatch, prefix
+    ):
+        # the t=1 n=7 seed is optimal, so no incumbent changes, and a prefix
+        # cut anywhere plus the tasks after it expand exactly the serial tree
+        serial = max_code_size(SearchConfig(7, 1))
+        monkeypatch.setattr(search, "_SERIAL_PREFIX_NODES", prefix)
+        r = max_code_size(SearchConfig(7, 1, workers=2))
+        assert len(serial_pool) == 1
+        assert r.exhausted and r.optimum == serial.optimum
+        assert r.node_count == serial.node_count
 
     def test_nan_budget_rejected(self):
         for budget in (float("nan"), -1.0):
@@ -324,11 +358,88 @@ def test_every_dominant_word_has_a_basic_subordinate():
             assert covered == dominant, (n, t)
 
 
-def test_build_candidates_rejects_unsound_pruning(monkeypatch):
-    monkeypatch.setattr(search, "_basic_subordinates", lambda n, t: {})
-    with pytest.raises(ValueError, match="unsound"):
-        build_candidates(7, 1, True)
+@pytest.fixture
+def fresh_pruning():
+    """The checked pruning pairs rebuilt from the rows, before and after."""
+    rows.pruning.cache_clear()
+    yield
+    rows.pruning.cache_clear()
+
+
+def test_build_candidates_rejects_unsound_pruning(monkeypatch, fresh_pruning):
+    good = rows.basic_subordinates(7, 1)
+    for change in (
+        # 0000110 is kept, but its ball is not inside that of 0000101
+        {0b0000101: 0b0000110},
+        # 0000001 lies inside the ball of 0000010, but is itself dropped
+        {0b0000010: 0b0000001},
+        # 0000001 kept while its complement, reversal and both are dropped
+        {0b0000001: None},
+    ):
+        pairs = {u: v for u, v in {**good, **change}.items() if v is not None}
+        monkeypatch.setitem(_root_data.PRUNE, (7, 1), rows.encode(pairs))
+        rows.pruning.cache_clear()
+        with pytest.raises(ValueError, match="unsound"):
+            build_candidates(7, 1, True)
     assert len(build_candidates(7, 1, False)) == 128
+
+
+def test_pruning_rows_match_the_pair_scan():
+    keys = {(n, t) for t, cap in SEARCH_CAPS.items() for n in range(t + 1, cap + 1)}
+    assert set(_root_data.PRUNE) == set(_root_data.DUALS) == keys
+    for n, t in sorted(keys):
+        assert rows.decode(_root_data.PRUNE[n, t]) == rows.basic_subordinates(n, t)
+
+
+@pytest.mark.parametrize("n,t", [
+    (n, t) for t, cap in SEARCH_CAPS.items() for n in range(t + 1, min(cap, 10) + 1)
+])
+def test_weight_rows_match_the_simplex(n, t):
+    weights, _ = rows.computed_rows(n, t)
+    assert rows.stored_weights(SearchConfig(n, t)) == weights
+
+
+def test_search_reads_the_rows(monkeypatch, fresh_pruning):
+    # with a row and the default flags neither the simplex nor the pair scan runs
+    def never(*args):
+        raise AssertionError("computed, not read from the rows")
+
+    for module in (search, rows, dominance):
+        for name in ("dual_iterates", "_dominant_pairs_packed", "_dominant_words_packed"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, never)
+    for t, cap in SEARCH_CAPS.items():
+        for n in range(t + 1, cap + 1):
+            r = max_code_size(SearchConfig(n, t, time_budget=0.05))
+            assert is_t_deletion_correcting(r.witness, t)
+            assert r.optimum <= r.upper_bound
+
+
+def test_stored_weights_bound_t1_n11_at_once():
+    # the simplex takes about 50 s here; the cover alone gives 318
+    r = max_code_size(SearchConfig(11, 1, time_budget=1))
+    assert r.optimum >= 172 and r.upper_bound <= 175
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([(n, t) for n in range(3, 7) for t in (1, 2) if t < n]),
+       st.sampled_from(FLAGS), st.data())
+def test_any_weights_certify_a_sound_bound(nt, flags, data):
+    # a stale or wrong DUALS row is weak, never wrong
+    n, t = nt
+    graph, open0, size0, _ = _prepare(SearchConfig(n, t, *flags))
+    size = 1 << (n - t)
+    weights = dict(enumerate(
+        data.draw(st.lists(st.integers(-3, 40), min_size=size, max_size=size))
+    ))
+    cliques = certify(graph, open0, weights) if open0 else None
+    # a weight below 1 weighs nothing: negative weights would break the bound
+    positive = {y: w for y, w in weights.items() if w > 0}
+    assert cliques == (certify(graph, open0, positive) if open0 else None)
+    if cliques is not None:
+        unit, containers = cliques
+        # the optima up to n = 6 are pinned by brute force
+        assert size0 + sum(w for _, w in containers) // unit >= KNOWN_OPTIMA[t, n]
 
 
 class TestRootBound:
@@ -352,7 +463,7 @@ class TestRootBound:
         # from the slack basis (0 pivots) on, any iterate may be the last
         iterates = 0
         for iterates, duals in enumerate(dual_iterates(graph, open0), 1):
-            cliques = certify(graph, open0, duals)
+            cliques = certify(graph, open0, integer_weights(duals))
             if cliques is not None:
                 unit, containers = cliques
                 assert size0 + sum(w for _, w in containers) // unit >= optimum
