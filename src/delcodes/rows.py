@@ -3,10 +3,8 @@
 Two root inputs of a search depend only on (n, t): the optimal weights W_y
 of the root LP (see bound.py) and the pruning pairs, each dominant word with
 its least subordinate that is not dominant.  _root_data.py stores both for
-every (n, t) inside the search caps, as strings of hex "a:b" pairs: DUALS
-holds the weight of the least y of each orbit under complement and reversal
-(the simplex runs over orbits, so its weights are constant on them), PRUNE
-every pair.  tools/root_data.py writes the rows from computed_rows.
+every (n, t) inside the search caps, t < n, as strings of hex "a:b" pairs.
+tools/root_data.py writes the rows from computed_rows.
 
 The search re-checks what it reads, so a stale or wrong row is weak, never
 wrong: certify derives a sound bound from any weights, and pruning checks
@@ -36,38 +34,28 @@ def decode(row: str) -> dict[int, int]:
     return dict(zip(items[::2], items[1::2]))
 
 
-def weights_row(weights: dict[int, int], m: int) -> str:
-    """The DUALS row of weights on the words of length m: the least word of
-    each orbit carries the weight of all of it."""
-    return encode({y: w for y, w in weights.items() if y == min(_images(y, m))})
-
-
 def stored_weights(config) -> dict[int, int] | None:
-    """The stored root LP weights of a search config, every word of each
-    orbit, or None.  They hold for the default flags only: other flags
-    change the root's open words, and with the constant words open the
-    stored weights leave their balls empty."""
-    row = _root_data.DUALS.get((config.n, config.t))
-    if row is None or not (config.basic_only and config.force_constants):
+    """The stored root LP weights of a validated search config, or None.
+    They hold for the default flags only: other flags change the root's
+    open words, and with the constant words open the stored weights leave
+    their balls empty."""
+    if not (config.basic_only and config.force_constants):
         return None
-    m = config.n - config.t
-    return {image: w for y, w in decode(row).items() for image in _images(y, m)}
+    return decode(_root_data.DUALS[config.n, config.t])
 
 
 @functools.lru_cache(maxsize=None)
 @_frozen_table
 def pruning(n: int, t: int) -> dict[int, int]:
     """The words the search drops, each mapped to a kept word whose ball
-    lies inside its own: the stored PRUNE row, or basic_subordinates where
-    there is none.
+    lies inside its own: the stored PRUNE row of (n, t), 1 <= t < n.
 
     A code keeps its size when each dropped word is traded for its kept
     word, so dropping them is sound.  So every pair is checked: two distinct
     words, ball(v) inside ball(u), v not dropped, and the dropped words
     mapped onto themselves by complement and reversal, as the orbital
     branching needs.  Raises ValueError on the first pair that fails."""
-    row = _root_data.PRUNE.get((n, t))
-    pairs = basic_subordinates(n, t) if row is None else decode(row)
+    pairs = decode(_root_data.PRUNE[n, t])
     balls = _ball_table(n, t)
     for u, v in pairs.items():
         if not (

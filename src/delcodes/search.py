@@ -31,8 +31,9 @@ from .words import Word, _ball_packed, _ball_table, _images
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
 ENUMERATION_CAP = 7
-# nodes a multi-process search expands serially before it starts its pool,
-# about what the pool costs to start: a smaller tree never starts one
+# nodes a multi-process search expands serially before it starts its pool:
+# about twice the pool's start cost in nodes (see README), as two processes
+# at best halve the nodes left, so the pool pays only on a larger remainder
 _SERIAL_PREFIX_NODES = 4096
 
 
@@ -129,6 +130,8 @@ def build_candidates(n: int, t: int, basic_only: bool) -> list[Word]:
     if n > SEARCH_CAPS[t]:
         raise ValueError(f"length {n} exceeds search cap {SEARCH_CAPS[t]} for t={t}")
     if basic_only:
+        if t >= n:
+            raise ValueError(f"no dominance pruning for t={t} at length {n}")
         # imported on use, as in max_code_size and _initial_incumbent: starting
         # the CLI compiles neither the stored rows nor their checks
         from .rows import pruning

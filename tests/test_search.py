@@ -87,6 +87,9 @@ class TestCandidates:
     def test_cap(self):
         with pytest.raises(ValueError):
             build_candidates(13, 1, True)
+        # t >= n has no pruning row
+        with pytest.raises(ValueError, match="no dominance pruning"):
+            build_candidates(3, 3, True)
 
 
 class TestConflictGraph:

@@ -29,9 +29,8 @@ Generated by tools/root_data.py from the pair scan and the root simplex:
 regenerate, do not edit.  Each row is a string of hex pairs, parsed when a
 search needs it.  DUALS[(n, t)] holds "y:w" for each positive integer weight
 W_y of the optimal root LP under the default flags (basic_only and
-force_constants on), for the least y of each orbit under complement and
-reversal: the weights are constant on orbits.  PRUNE[(n, t)] holds "u:v"
-for each dominant word u and its least subordinate v that is not dominant.
+force_constants on).  PRUNE[(n, t)] holds "u:v" for each dominant word u
+and its least subordinate v that is not dominant.
 The search re-checks both: certify derives a sound bound from any weights,
 and every pair is checked against the ball table, so a stale row is weak,
 never wrong.
@@ -66,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     for key in sorted(only or keys, key=lambda k: (k[0] - k[1], k)):
         start = time.monotonic()
         weights, pairs = rows.computed_rows(*key)
-        duals[key] = rows.weights_row(weights, key[0] - key[1])
+        duals[key] = rows.encode(weights)
         prune[key] = rows.encode(pairs)
         print(
             f"n={key[0]} t={key[1]}: {len(weights)} weights, {len(pairs)} pairs, "
