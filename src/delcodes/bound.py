@@ -12,15 +12,15 @@ The weights come from the dual of the packing LP over these cliques
 under complement and reversal by a dense float simplex whose right-hand
 side is nonnegative, so the slack basis is feasible from the start.  Its
 duals are rounded to integers and c is recomputed exactly over every open
-vertex, so the bound holds whatever the float error, for the duals of any
-simplex iterate, not only the optimal one, and for any integer weights at
-all: the search reads the optimal ones from a stored table (_root_data.py),
-which a stale or wrong row can only make weak.
+vertex, so the bound holds whatever the float error, and for any integer
+weights at all.  Only tools/root_data.py runs the simplex, to write the
+stored rows (_root_data.py); the search reads its weights from them, so a
+stale or wrong row can only make the bound weak.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .words import _ball_table, _images
 
@@ -48,20 +48,18 @@ def _open_words(graph, open_mask: int) -> list[tuple[int, int]]:
     return [(i, w.bits) for i, w in enumerate(graph.vertices) if open_mask >> i & 1]
 
 
-def dual_iterates(graph, open_mask: int) -> Iterator[list[float]]:
-    """Dual weights, one per packed word of length n - t, of each simplex
-    basis of max sum z_X s.t. sum_X |D_t(x) & Y| z_X <= |Y|, z >= 0.
+def optimal_duals(graph, open_mask: int) -> list[float]:
+    """Optimal dual weights, one per packed word of length n - t, of
+    max sum z_X s.t. sum_X |D_t(x) & Y| z_X <= |Y|, z >= 0.
 
     X runs over the orbits of the open vertices of the conflict graph (a set
     closed under complement and reversal), Y over the orbits of the words in
-    their balls.  The first iterate is the all-zero dual of the slack basis
-    and the last one is optimal.
+    their balls; words in no open ball get weight 0.
     """
     n, t = graph.word_length, graph.t
     m = n - t
     balls = _ball_table(n, t)
-    # in packed order, so that the columns do not follow the vertex labels
-    vertices = sorted(x for _, x in _open_words(graph, open_mask))
+    vertices = [x for _, x in _open_words(graph, open_mask)]
     x_orbit, x_sizes = _orbit_index(vertices, n)
     y_orbit, y_sizes = _orbit_index(
         sorted({y for x in vertices for y in balls[x]}), m
@@ -83,22 +81,17 @@ def dual_iterates(graph, open_mask: int) -> Iterator[list[float]]:
     # reduced profits c_j - z_j; the duals are minus those of the slacks
     obj = [1.0] * k + [0.0] * (r + 1)
     basis = list(range(k, width))
-    orbit_of = [y_orbit.get(y, r) for y in range(1 << m)]
     bland = False
     while True:
-        duals = [-obj[k + i] for i in range(r)]
-        duals.append(0.0)
-        yield [duals[o] for o in orbit_of]
         # Dantzig's rule, or Bland's after a degenerate pivot so that a run
         # of degenerate pivots cannot cycle
         if bland:
             enter = next((j for j in range(width) if obj[j] > _EPS), -1)
         else:
             enter = max(range(width), key=obj.__getitem__)
-            if obj[enter] <= _EPS:
-                enter = -1
-        if enter < 0:
-            return
+        if enter < 0 or obj[enter] <= _EPS:
+            duals = [-obj[k + i] for i in range(r)] + [0.0]
+            return [duals[y_orbit.get(y, r)] for y in range(1 << m)]
         leave = -1
         ratio = 0.0
         for i, row in enumerate(rows):

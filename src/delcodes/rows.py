@@ -1,10 +1,17 @@
 """Stored root rows of the search: read, checked, and computed afresh.
 
-Two root inputs of a search depend only on (n, t): the optimal weights W_y
-of the root LP (see bound.py) and the pruning pairs, each dominant word with
-its least subordinate that is not dominant.  _root_data.py stores both for
+Two root inputs of a search depend only on (n, t): the weights W_y of the
+root LP (see bound.py) and the pruning pairs, each dominant word with its
+least subordinate that is not dominant.  _root_data.py stores both for
 every (n, t) inside the search caps, t < n, as strings of hex "a:b" pairs.
 tools/root_data.py writes the rows from computed_rows.
+
+One row of weights serves every flag pair: the optimal duals at the root of
+the default flags, whose least ball weight is c (1 when no word is open
+there), plus weight c on the two constant windows, which lie in no ball
+open there.  Every ball the other flags open holds a constant window or a
+kept subordinate's ball, so it weighs at least c too, and the default
+certificate is unchanged.
 
 The search re-checks what it reads, so a stale or wrong row is weak, never
 wrong: certify derives a sound bound from any weights, and pruning checks
@@ -19,7 +26,7 @@ from __future__ import annotations
 import functools
 
 from . import _root_data
-from .bound import dual_iterates, integer_weights
+from .bound import certify, integer_weights, optimal_duals
 from .dominance import _dominant_pairs_packed, _dominant_words_packed
 from .words import Word, _ball_table, _frozen_table, _images
 
@@ -34,14 +41,10 @@ def decode(row: str) -> dict[int, int]:
     return dict(zip(items[::2], items[1::2]))
 
 
-def stored_weights(config) -> dict[int, int] | None:
-    """The stored root LP weights of a validated search config, or None.
-    They hold for the default flags only: other flags change the root's
-    open words, and with the constant words open the stored weights leave
-    their balls empty."""
-    if not (config.basic_only and config.force_constants):
-        return None
-    return decode(_root_data.DUALS[config.n, config.t])
+def stored_weights(n: int, t: int) -> dict[int, int]:
+    """The stored root LP weights of (n, t) inside the search caps, t < n,
+    for any flags."""
+    return decode(_root_data.DUALS[n, t])
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,8 +89,9 @@ def basic_subordinates(n: int, t: int) -> dict[int, int]:
 
 def computed_rows(n: int, t: int) -> tuple[dict[int, int], dict[int, int]]:
     """The root weights and pruning pairs of (n, t) from the live
-    computations: the rounded duals of the optimal simplex basis at the
-    root of the default flags, and basic_subordinates."""
+    computations: the rounded optimal duals at the root of the default
+    flags, with the two constant windows at their unit c (1 when that root
+    has no open word), and basic_subordinates."""
     # imported here: the search imports this module, not the other way round
     from .search import _root_state, build_conflict_graph
 
@@ -96,8 +100,9 @@ def computed_rows(n: int, t: int) -> tuple[dict[int, int], dict[int, int]]:
         [Word.from_bits(b, n) for b in range(1 << n) if b not in prune], t
     )
     open0, _ = _root_state(graph, True)
-    duals: list[float] = []
+    weights, unit = {}, 1
     if open0:
-        for duals in dual_iterates(graph, open0):
-            pass
-    return integer_weights(duals), prune
+        weights = integer_weights(optimal_duals(graph, open0))
+        unit, _ = certify(graph, open0, weights)
+    weights[0] = weights[(1 << (n - t)) - 1] = unit
+    return weights, prune

@@ -13,9 +13,10 @@ applied once at the root: dropping dominated words and pre-selecting the
 two constant words.
 
 Two root inputs depend only on (n, t): the dominant words dropped, each with
-a kept subordinate, and the optimal weights of the root LP.  The search
-reads both from stored rows and re-checks them (see rows.py), so a stale
-row can make a search slower, never wrong.
+a kept subordinate, and the weights of the root LP.  Every search, whatever
+its flags, reads both from stored rows and re-checks them (see rows.py), and
+runs neither the simplex nor the pair scan, so a stale row can make a
+search slower, never wrong.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import time
 from typing import NamedTuple
 
-from .bound import certify, dual_iterates, integer_weights
+from .bound import certify
 from .codes import Code, vt_code
 from .dominance import BRUTE_FORCE_CAP, _dominant_words_packed
 from .words import Word, _ball_packed, _ball_table, _images
@@ -400,11 +401,12 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     best_size, best_chosen = _initial_incumbent(graph, open0, size0, chosen0)
     from .rows import stored_weights
 
-    upper, cliques = _root_bound(graph, open0, size0, deadline, stored_weights(config))
+    upper, cliques = _root_bound(
+        graph, open0, size0, stored_weights(config.n, config.t)
+    )
 
     nodes, exhausted = 0, best_size >= upper
-    # nothing is searched once the root bound has spent the budget
-    if not exhausted and (deadline is None or time.monotonic() <= deadline):
+    if not exhausted:
         # some image of every code under the symmetries lies in the roots
         stack = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
         procs = min(config.workers, os.cpu_count() or 1)
@@ -460,25 +462,13 @@ def max_code_size(config: SearchConfig) -> SearchResult:
 
 
 def _root_bound(
-    graph: ConflictGraph,
-    open0: int,
-    size0: int,
-    deadline: float | None,
-    weights: dict[int, int] | None = None,
+    graph: ConflictGraph, open0: int, size0: int, weights: dict[int, int]
 ) -> tuple[int, tuple[int, tuple[tuple[int, int], ...]]]:
     """Proved upper bound on the optimum, and the node certificate for
-    _solve_stack, from the integer LP weights given or else from the
-    simplex.  The simplex stops at the deadline; the duals of whatever
-    iterate it reached still certify a (weaker) bound."""
+    _solve_stack, from the integer LP weights given."""
     upper = size0 + len(_clique_classes(open0, graph.adj))
     if not open0:
         return upper, (1, ())
-    if weights is None:
-        duals: list[float] = []
-        for duals in dual_iterates(graph, open0):
-            if deadline is not None and time.monotonic() > deadline:
-                break
-        weights = integer_weights(duals)
     cliques = certify(graph, open0, weights)
     if cliques is None:
         return upper, (1, ())

@@ -165,7 +165,9 @@ class WordSet:
     def __hash__(self) -> int:
         return hash((self.member_length, self._lookup))
 
-    def __le__(self, other: "WordSet") -> bool:
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, WordSet):
+            return NotImplemented
         return (
             self.member_length == other.member_length
             and self._lookup <= other._lookup

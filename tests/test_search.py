@@ -23,8 +23,8 @@ from delcodes import (
     max_code_size,
     weight,
 )
-from delcodes import _root_data, dominance, rows, search
-from delcodes.bound import certify, dual_iterates, integer_weights
+from delcodes import _root_data, bound, dominance, rows, search
+from delcodes.bound import certify, integer_weights, optimal_duals
 from delcodes.dominance import _dominant_pairs_packed
 from delcodes.search import (
     SEARCH_CAPS,
@@ -261,7 +261,7 @@ class TestMaxCodeSize:
 
     def test_canonical_witness_respects_deadline(self):
         graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 1))
-        _, cliques = _root_bound(graph, open0, size0, None)
+        _, cliques = _root_bound(graph, open0, size0, rows.stored_weights(7, 1))
         order = sorted(range(len(graph)), key=lambda i: graph.vertices[i].bits)
         past = time.monotonic() - 1
         with pytest.raises(SearchBudgetExceeded):
@@ -399,29 +399,43 @@ def test_pruning_rows_match_the_pair_scan():
 ])
 def test_weight_rows_match_the_simplex(n, t):
     weights, _ = rows.computed_rows(n, t)
-    assert rows.stored_weights(SearchConfig(n, t)) == weights
+    assert rows.stored_weights(n, t) == weights
 
 
 def test_search_reads_the_rows(monkeypatch, fresh_pruning):
-    # with a row and the default flags neither the simplex nor the pair scan runs
+    # under any flags neither the simplex nor the pair scan runs
     def never(*args):
         raise AssertionError("computed, not read from the rows")
 
-    for module in (search, rows, dominance):
-        for name in ("dual_iterates", "_dominant_pairs_packed", "_dominant_words_packed"):
+    for module in (search, rows, dominance, bound):
+        for name in ("optimal_duals", "_dominant_pairs_packed", "_dominant_words_packed"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, never)
-    for t, cap in SEARCH_CAPS.items():
-        for n in range(t + 1, cap + 1):
-            r = max_code_size(SearchConfig(n, t, time_budget=0.05))
-            assert is_t_deletion_correcting(r.witness, t)
-            assert r.optimum <= r.upper_bound
+    for flags in FLAGS:
+        for t, cap in SEARCH_CAPS.items():
+            for n in range(t + 1, cap + 1):
+                r = max_code_size(SearchConfig(n, t, *flags, time_budget=0.05))
+                assert is_t_deletion_correcting(r.witness, t)
+                assert r.optimum <= r.upper_bound
 
 
-def test_stored_weights_bound_t1_n11_at_once():
+@pytest.mark.parametrize("basic_only,force", FLAGS)
+def test_stored_weights_bound_t1_n11_at_once(basic_only, force):
     # the simplex takes about 50 s here; the cover alone gives 318
-    r = max_code_size(SearchConfig(11, 1, time_budget=1))
+    r = max_code_size(SearchConfig(11, 1, basic_only, force, time_budget=1))
     assert r.optimum >= 172 and r.upper_bound <= 175
+
+
+@pytest.mark.parametrize("n,t", [
+    (n, t) for t, cap in SEARCH_CAPS.items() for n in range(t + 1, min(cap, 9) + 1)
+])
+@pytest.mark.parametrize("basic_only,force", FLAGS)
+def test_stored_row_bounds_as_tightly_as_the_simplex(n, t, basic_only, force):
+    # the constant windows and the dominance keep the default root's unit c
+    graph, open0, size0, _ = _prepare(SearchConfig(n, t, basic_only, force))
+    stored = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
+    live = integer_weights(optimal_duals(graph, open0)) if open0 else {}
+    assert stored[0] == _root_bound(graph, open0, size0, live)[0]
 
 
 @settings(deadline=None, max_examples=60)
@@ -451,34 +465,28 @@ class TestRootBound:
         for (t, n), optimum in KNOWN_OPTIMA.items():
             config = SearchConfig(n, t, basic_only=basic_only, force_constants=force)
             graph, open0, size0, _ = _prepare(config)
-            upper, _ = _root_bound(graph, open0, size0, None)
+            upper, _ = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
             assert upper >= optimum, (n, t)
 
     def test_lp_settles_where_the_greedy_cover_does_not(self):
         graph, open0, size0, _ = _prepare(SearchConfig(8, 1))
         assert size0 + len(_clique_classes(open0, graph.adj)) == 46
-        assert _root_bound(graph, open0, size0, None)[0] == 30
+        assert _root_bound(graph, open0, size0, rows.stored_weights(8, 1))[0] == 30
 
     @pytest.mark.parametrize("n,t", [(7, 1), (8, 1), (9, 2), (10, 3)])
     def test_every_simplex_iterate_certifies(self, n, t):
+        # the optimal duals, rounded, certify the known optimum
         graph, open0, size0, _ = _prepare(SearchConfig(n, t))
-        optimum = KNOWN_OPTIMA[t, n]
-        # from the slack basis (0 pivots) on, any iterate may be the last
-        iterates = 0
-        for iterates, duals in enumerate(dual_iterates(graph, open0), 1):
-            cliques = certify(graph, open0, integer_weights(duals))
-            if cliques is not None:
-                unit, containers = cliques
-                assert size0 + sum(w for _, w in containers) // unit >= optimum
-        assert iterates > 2 and cliques is not None
-        # a deadline that has passed stops the simplex after its first iterate
-        assert _root_bound(graph, open0, size0, 0.0)[0] >= optimum
+        cliques = certify(graph, open0, integer_weights(optimal_duals(graph, open0)))
+        assert cliques is not None
+        unit, containers = cliques
+        assert size0 + sum(w for _, w in containers) // unit >= KNOWN_OPTIMA[t, n]
 
     @pytest.mark.parametrize("n,t", [(5, 1), (6, 1), (7, 1), (6, 2), (8, 2), (8, 3)])
     def test_node_pruning_from_an_empty_incumbent(self, n, t):
         # no seed and no cap: every improvement must come through pruned nodes
         graph, open0, size0, chosen0 = _prepare(SearchConfig(n, t))
-        _, cliques = _root_bound(graph, open0, size0, None)
+        _, cliques = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
         best, _, _, done = _solve_stack(
             graph.adj, [(open0, size0, chosen0, len(graph))], 0, 0, None, len(graph),
             cliques,
@@ -492,7 +500,9 @@ class TestRootBound:
         n, t = nt
         config = SearchConfig(n, t, basic_only=flags[0], force_constants=flags[1])
         graph, open0, size0, _ = _prepare(config)
-        _, (unit, containers) = _root_bound(graph, open0, size0, None)
+        _, (unit, containers) = _root_bound(
+            graph, open0, size0, rows.stored_weights(n, t)
+        )
         indices = [i for i in range(len(graph)) if open0 >> i & 1]
         chosen = (
             data.draw(st.lists(st.sampled_from(indices), max_size=14, unique=True))
@@ -529,13 +539,15 @@ class TestSearchOrder:
         assert _words(graph, mask) == _words(packed, chosen | forced)
 
     def test_root_bound_does_not_follow_the_labels(self):
-        # simplex columns in label order give another certificate here
+        # the stored weights are keyed by word, not by label
         graph, open0, size0, _ = _prepare(SearchConfig(9, 3, basic_only=False))
         packed = build_conflict_graph(build_candidates(9, 3, False), 3)
         packed_open, _ = _root_state(packed, True)
         bounds = []
         for g, om in ((graph, open0), (packed, packed_open)):
-            upper, (unit, containers) = _root_bound(g, om, size0, None)
+            upper, (unit, containers) = _root_bound(
+                g, om, size0, rows.stored_weights(9, 3)
+            )
             pairs = sorted((_words(g, mask), w) for mask, w in containers)
             bounds.append((upper, unit, pairs))
         assert bounds[0] == bounds[1]

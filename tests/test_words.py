@@ -366,3 +366,9 @@ class TestWordSet:
         big = WordSet(2, [Word("01"), Word("10")])
         assert small <= big
         assert not big <= small
+        # against a non-WordSet Python raises TypeError, as for Word
+        for other in ("x", None, Word("01")):
+            with pytest.raises(TypeError):
+                small <= other
+        with pytest.raises(TypeError):
+            deletion_ball(Word("0101"), 1) <= "x"

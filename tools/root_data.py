@@ -5,9 +5,10 @@ Usage:
 
 For every (n, t) inside SEARCH_CAPS, t < n, the rows come from the live
 computations (rows.computed_rows): the exhaustive pair scan gives the
-PRUNE row and the root simplex of the default flags gives the DUALS row.
-With --only, just those rows are recomputed and the others are kept from
-the current module.  The simplex is slow at the largest sizes: on a 2-CPU
+PRUNE row, and the root simplex of the default flags, plus the two
+constant windows at its unit, gives the DUALS row.  This tool is the only
+caller of the simplex.  With --only, just those rows are recomputed and
+the others are kept from the current module.  The simplex is slow at the largest sizes: on a 2-CPU
 Xeon with Python 3.11.7, t=1 n=11 takes about 50 s and t=1 n=12 about
 16 minutes.
 """
@@ -29,8 +30,10 @@ Generated by tools/root_data.py from the pair scan and the root simplex:
 regenerate, do not edit.  Each row is a string of hex pairs, parsed when a
 search needs it.  DUALS[(n, t)] holds "y:w" for each positive integer weight
 W_y of the optimal root LP under the default flags (basic_only and
-force_constants on).  PRUNE[(n, t)] holds "u:v" for each dominant word u
-and its least subordinate v that is not dominant.
+force_constants on), plus the two constant windows 0...0 and 1...1 at the
+least ball weight c of that root (1 where it has no open word), so that
+the one row bounds the root of every flag pair.  PRUNE[(n, t)] holds "u:v"
+for each dominant word u and its least subordinate v that is not dominant.
 The search re-checks both: certify derives a sound bound from any weights,
 and every pair is checked against the ball table, so a stale row is weak,
 never wrong.
