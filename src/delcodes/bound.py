@@ -138,13 +138,15 @@ def certify(
     code among the vertices of an open mask om has at most
     sum(w for mask, w in containers if mask & om) // c words.  Words missing
     from `weights`, or given a weight below 1, weigh nothing, so any mapping
-    gives a sound bound.  None when some vertex ball carries no weight,
-    which proves nothing.
+    gives a sound bound.  None when some vertex ball carries no weight, or
+    the open mask is empty: either proves nothing.
     """
     balls = _ball_table(graph.word_length, graph.t)
     vertices = _open_words(graph, open_mask)
     weight = {y: w for y, w in weights.items() if w > 0}
-    c = min(sum(weight.get(y, 0) for y in balls[x]) for _, x in vertices)
+    c = min(
+        (sum(weight.get(y, 0) for y in balls[x]) for _, x in vertices), default=0
+    )
     if c <= 0:
         return None
     masks: dict[int, int] = {}

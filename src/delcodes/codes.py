@@ -14,7 +14,7 @@ from .dominance import (
     _dominant_pairs_packed,
     _dominant_words_packed,
 )
-from .words import Word, WordSet, _ball_packed, _images, _lcs_packed
+from .words import MAX_LEN, Word, WordSet, _ball_packed, _images, _lcs_packed
 
 
 class Code(WordSet):
@@ -160,8 +160,8 @@ def vt_code(n: int, a: int) -> Code:
     every residue class corrects one deletion and the classes partition the
     full space.
     """
-    if n < 1:
-        raise ValueError(f"length must be positive: {n}")
+    if not 1 <= n <= MAX_LEN:
+        raise ValueError(f"word length out of range 1..{MAX_LEN}: {n}")
     if not 0 <= a <= n:
         raise ValueError(f"residue {a} out of range 0..{n}")
     return Code._from_packed(

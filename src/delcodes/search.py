@@ -133,7 +133,7 @@ def build_candidates(n: int, t: int, basic_only: bool) -> list[Word]:
     if basic_only:
         if t >= n:
             raise ValueError(f"no dominance pruning for t={t} at length {n}")
-        # imported on use, as in max_code_size and _initial_incumbent: starting
+        # imported on use, as in _root and _initial_incumbent: starting
         # the CLI compiles neither the stored rows nor their checks
         from .rows import pruning
 
@@ -258,7 +258,7 @@ def _solve_stack(
     best_chosen: int,
     deadline: float | None,
     cap: int,
-    cliques: tuple[int, tuple[tuple[int, int], ...]],
+    cliques: tuple[int, tuple[tuple[int, int], ...]] | None,
     found: list[int] | None = None,
     limit: int | None = None,
 ) -> tuple[int, int, int, bool]:
@@ -266,17 +266,15 @@ def _solve_stack(
     chosen, bound) on the stack, the last popped first.
 
     Branch-and-bound: a node is pruned by the container-clique certificate
-    `cliques` = (c, ((mask, weight), ...)) from bound.certify (none when
-    empty), and otherwise split into its colour-ordered children (see
-    _children), each stored with its bound and skipped when popped if that
-    bound no longer beats the incumbent.  Nodes keep no degrees: a pass
-    taking the open vertices of open degree 0, 1 or 2 fired at few nodes
-    and cost a scan of every open vertex at each.  The search stops once the
-    incumbent reaches `cap`, a proved upper bound.  Returns (best_size,
-    best_chosen, nodes, exhausted), nodes counting the pops that were
-    expanded; on deadline expiry the best found so far comes back with
-    exhausted False, and so it does after `limit` expanded nodes, with every
-    subproblem not yet expanded left on the stack.
+    `cliques` = (c, ((mask, weight), ...)) from bound.certify (no pruning
+    when it is None or holds no container), and otherwise split into its
+    colour-ordered children (see _children), each stored with its bound and
+    skipped when popped if that bound no longer beats the incumbent.  The
+    search stops once the incumbent reaches `cap`, a proved upper bound.
+    Returns (best_size, best_chosen, nodes, exhausted), nodes counting the
+    pops that were expanded; on deadline expiry the best found so far comes
+    back with exhausted False, and so it does after `limit` expanded nodes,
+    with every subproblem not yet expanded left on the stack.
 
     The same loop serves three modes.  Maximise: best_size is an incumbent
     and cap a proved bound.  Find a solution of size T: best_size T - 1 and
@@ -288,7 +286,7 @@ def _solve_stack(
     Any vertex labelling is correct; the order of the labels decides the
     partitions and so the size of the tree.
     """
-    unit, containers = cliques
+    containers = cliques[1] if cliques else ()
     nodes = 0
     while stack:
         if best_size >= cap:
@@ -311,7 +309,7 @@ def _solve_stack(
             continue
         if containers:
             # prune iff (weight reachable from om) // c <= best_size - size
-            room = (best_size - size + 1) * unit
+            room = (best_size - size + 1) * cliques[0]
             for mask, w in containers:
                 if mask & om:
                     room -= w
@@ -395,51 +393,42 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     config.validate()
     start = time.monotonic()
     deadline = start + config.time_budget if config.time_budget else None
-    graph, open0, size0, chosen0 = _prepare(config)
+    graph, open0, size0, chosen0, upper, cliques = _root(config)
     adj = graph.adj
-
     best_size, best_chosen = _initial_incumbent(graph, open0, size0, chosen0)
-    from .rows import stored_weights
-
-    upper, cliques = _root_bound(
-        graph, open0, size0, stored_weights(config.n, config.t)
+    # some image of every code under the symmetries lies in the roots
+    stack = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
+    procs = min(config.workers, os.cpu_count() or 1)
+    # with several processes, a serial prefix first: a small tree ends in it
+    # and starts no pool; the prefix leaves at least one subproblem on the
+    # stack when it does not end the tree
+    best_size, best_chosen, nodes, exhausted = _solve_stack(
+        adj, stack, best_size, best_chosen, deadline, upper, cliques,
+        limit=_SERIAL_PREFIX_NODES if procs > 1 else None,
     )
+    if not exhausted and (deadline is None or time.monotonic() <= deadline):
+        # one subproblem per task, in pop order, each worker from the
+        # prefix's incumbent size alone; the graph and the certificate go to
+        # each worker once, not per task
+        tasks = [node for node in reversed(stack) if node[3] > best_size]
+        shared = (adj, best_size, deadline, upper, cliques)
+        exhausted = True
+        # imported here: the process pool pulls in multiprocessing, pickle,
+        # socket and logging, which no single-process job needs
+        from concurrent.futures import ProcessPoolExecutor
 
-    nodes, exhausted = 0, best_size >= upper
-    if not exhausted:
-        # some image of every code under the symmetries lies in the roots
-        stack = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
-        procs = min(config.workers, os.cpu_count() or 1)
-        # with several processes, a serial prefix first: a small tree ends
-        # in it and starts no pool; the prefix leaves at least one
-        # subproblem on the stack when it does not end the tree
-        best_size, best_chosen, nodes, exhausted = _solve_stack(
-            adj, stack, best_size, best_chosen, deadline, upper, cliques,
-            limit=_SERIAL_PREFIX_NODES if procs > 1 else None,
-        )
-        if not exhausted and (deadline is None or time.monotonic() <= deadline):
-            # one subproblem per task, in pop order, each worker from the
-            # prefix's incumbent size alone; the graph and the certificate
-            # go to each worker once, not per task
-            tasks = [node for node in reversed(stack) if node[3] > best_size]
-            shared = (adj, best_size, deadline, upper, cliques)
-            exhausted = True
-            # imported here: the process pool pulls in multiprocessing, pickle,
-            # socket and logging, which no single-process job needs
-            from concurrent.futures import ProcessPoolExecutor
-
-            # the pool forks all its processes at the first submit
-            with ProcessPoolExecutor(
-                max_workers=min(procs, len(tasks)),
-                initializer=_set_worker_search,
-                initargs=shared,
-            ) as pool:
-                for size, chosen, sub_nodes, sub_done in pool.map(_solve_task, tasks):
-                    nodes += sub_nodes
-                    exhausted = exhausted and sub_done
-                    # ties keep the earlier subproblem in pop order
-                    if size > best_size:
-                        best_size, best_chosen = size, chosen
+        # the pool forks all its processes at the first submit
+        with ProcessPoolExecutor(
+            max_workers=min(procs, len(tasks)),
+            initializer=_set_worker_search,
+            initargs=shared,
+        ) as pool:
+            for size, chosen, sub_nodes, sub_done in pool.map(_solve_task, tasks):
+                nodes += sub_nodes
+                exhausted = exhausted and sub_done
+                # ties keep the earlier subproblem in pop order
+                if size > best_size:
+                    best_size, best_chosen = size, chosen
     if config.canonical_witness and exhausted:
         best_chosen = _canonical_witness(
             adj, open0, size0, chosen0, best_size, deadline, cliques,
@@ -461,48 +450,58 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     )
 
 
+def _root(config: SearchConfig):
+    """The root step of every search: the prepared graph and root state (see
+    _prepare), the proved bound and the certificate (see _root_bound)."""
+    from .rows import stored_weights
+
+    graph, open0, size0, chosen0 = _prepare(config)
+    weights = stored_weights(config.n, config.t)
+    return graph, open0, size0, chosen0, *_root_bound(graph, open0, size0, weights)
+
+
 def _root_bound(
     graph: ConflictGraph, open0: int, size0: int, weights: dict[int, int]
-) -> tuple[int, tuple[int, tuple[tuple[int, int], ...]]]:
+) -> tuple[int, tuple[int, tuple[tuple[int, int], ...]] | None]:
     """Proved upper bound on the optimum, and the node certificate for
-    _solve_stack, from the integer LP weights given."""
+    _solve_stack, from the integer LP weights given: None when they prove
+    nothing, as at a root with no open vertex."""
     upper = size0 + len(_clique_classes(open0, graph.adj))
-    if not open0:
-        return upper, (1, ())
     cliques = certify(graph, open0, weights)
-    if cliques is None:
-        return upper, (1, ())
-    unit, containers = cliques
-    return min(upper, size0 + sum(w for _, w in containers) // unit), cliques
+    if cliques:
+        upper = min(upper, size0 + sum(w for _, w in cliques[1]) // cliques[0])
+    return upper, cliques
 
 
 def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     """All maximum codes that are basic, one canonical member per equivalence class.
 
-    The optimum and the collection of every solution of that size share one
-    deadline, taken at entry."""
+    One root step (see _root) serves two passes over the orbit roots: one
+    maximises from the initial incumbent, then one collects every solution
+    of the optimum's size from a fresh copy of the roots.  Both prune with
+    the one certificate and share one deadline, taken at entry."""
     config.validate()
     if config.n > ENUMERATION_CAP:
         raise ValueError(
             f"length {config.n} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     deadline = time.monotonic() + config.time_budget if config.time_budget else None
-    base_result = max_code_size(config._replace(canonical_witness=False, workers=1))
-    if not base_result.exhausted:
+    graph, open0, size0, chosen0, upper, cliques = _root(config)
+    adj = graph.adj
+    best_size, _ = _initial_incumbent(graph, open0, size0, chosen0)
+    # one image of every optimum suffices: the classes are orbits, and the
+    # dominant words are mapped onto themselves
+    roots = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
+    optimum, _, _, exhausted = _solve_stack(
+        adj, list(roots), best_size, 0, deadline, upper, cliques
+    )
+    if not exhausted:
         raise SearchBudgetExceeded(
             f"optimum at n={config.n}, t={config.t} not settled within budget"
         )
-    optimum = base_result.optimum
-
-    graph, open0, size0, chosen0 = _prepare(config)
-    # one image of every optimum suffices: the classes are orbits, and the
-    # dominant words are mapped onto themselves
-    roots = _orbit_roots(
-        graph.adj, open0, size0, chosen0, optimum, _symmetry_perms(graph)
-    )
     found: list[int] = []
     *_, exhausted = _solve_stack(
-        graph.adj, roots, optimum - 1, 0, deadline, optimum, (1, ()), found
+        adj, roots, optimum - 1, 0, deadline, optimum, cliques, found
     )
     if not exhausted:
         raise SearchBudgetExceeded(
@@ -593,12 +592,12 @@ def _canonical_witness(
     chosen0: int,
     optimum: int,
     deadline: float | None,
-    cliques: tuple[int, tuple[tuple[int, int], ...]],
+    cliques: tuple[int, tuple[tuple[int, int], ...]] | None,
     order: list[int],
 ) -> int:
-    """Optimum solution that is least in the vertex order `order`, fixed
-    vertex by vertex; in packed-value order it is the lexicographically
-    smallest code.
+    """Optimum solution least in the vertex order `order`, fixed vertex by
+    vertex.  In packed-value order it is the smallest optimal code among the
+    candidates: under dominance pruning, the smallest optimal basic code.
 
     A vertex that no optimum holds together with the choice so far fits no
     later, larger choice either, so it leaves the open set.  Raises

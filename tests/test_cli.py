@@ -227,6 +227,20 @@ class TestSearch:
         )
         assert json.loads(a)["witness"] == json.loads(b)["witness"]
 
+    def test_canonical_witness_is_least_among_candidates(self, capsys):
+        # 1010 dominates 1100, so only --no-basic-prune keeps the smaller code
+        witnesses = []
+        for extra in ((), ("--no-basic-prune",)):
+            _, out, _ = run(
+                capsys, "search", "--n", "4", "--t", "1", "--canonical", *extra,
+                "--json",
+            )
+            witnesses.append(json.loads(out)["witness"])
+        assert witnesses == [
+            ["0000", "0011", "1100", "1111"],
+            ["0000", "0011", "1010", "1111"],
+        ]
+
     def test_enumerate_lists_classes(self, capsys):
         code, out, _ = run(capsys, "search", "--n", "5", "--t", "1", "--enumerate")
         assert code == 0
@@ -285,6 +299,11 @@ class TestVt:
     def test_bad_residue_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "vt", "--n", "5", "--a", "6")
         assert code == 1
+
+    @pytest.mark.parametrize("n", ["63", "70"])
+    def test_length_past_word_limit_is_domain_error(self, capsys, n):
+        code, out, err = run(capsys, "vt", "--n", n, "--a", "0")
+        assert (code, out) == (1, "") and "out of range" in err
 
     def test_pipes_into_check(self, capsys, tmp_path):
         _, out, _ = run(capsys, "vt", "--n", "6", "--a", "3")

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from delcodes import (
+    MAX_LEN,
     Code,
     Word,
     WordSet,
@@ -278,6 +279,12 @@ class TestVtCodes:
             vt_code(5, -1)
         with pytest.raises(ValueError):
             vt_code(0, 0)
+
+    @pytest.mark.parametrize("n", [MAX_LEN + 1, 70])
+    def test_length_past_word_limit_rejected(self, n):
+        # checked before the 2**n checksum loop starts
+        with pytest.raises(ValueError):
+            vt_code(n, 0)
 
 
 class TestCodeFileFormat:

@@ -35,6 +35,7 @@ from delcodes.search import (
     _initial_incumbent,
     _orbit_roots,
     _prepare,
+    _root,
     _root_bound,
     _root_state,
     _solve_stack,
@@ -500,13 +501,15 @@ class TestRootBound:
         n, t = nt
         config = SearchConfig(n, t, basic_only=flags[0], force_constants=flags[1])
         graph, open0, size0, _ = _prepare(config)
-        _, (unit, containers) = _root_bound(
-            graph, open0, size0, rows.stored_weights(n, t)
-        )
+        upper, cliques = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
+        if cliques is None:
+            # no open vertex: nothing to bound beyond the forced words
+            assert open0 == 0 and upper == size0
+            return
+        unit, containers = cliques
         indices = [i for i in range(len(graph)) if open0 >> i & 1]
-        chosen = (
-            data.draw(st.lists(st.sampled_from(indices), max_size=14, unique=True))
-            if indices else []
+        chosen = data.draw(
+            st.lists(st.sampled_from(indices), max_size=14, unique=True)
         )
         om = sum(1 << i for i in chosen)
         reached = sum(w for mask, w in containers if mask & om)
@@ -800,3 +803,49 @@ class TestEnumerateOptimal:
             enumerate_optimal_codes(
                 SearchConfig(7, 1, basic_only=False, time_budget=1e-6)
             )
+
+    def test_one_root_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration must not start a nested search")
+
+        calls = []
+        prepare = search._prepare
+
+        def counted(config):
+            calls.append(config)
+            return prepare(config)
+
+        monkeypatch.setattr(search, "max_code_size", refuse)
+        monkeypatch.setattr(SearchConfig, "_replace", refuse)
+        monkeypatch.setattr(search, "_prepare", counted)
+        codes = enumerate_optimal_codes(SearchConfig(7, 1))
+        assert len(codes) == 46 and calls == [SearchConfig(7, 1)]
+
+    @pytest.mark.parametrize("n,t", [(6, 1), (7, 1), (6, 2), (7, 2), (7, 3)])
+    def test_certificate_keeps_every_collected_code(self, n, t):
+        # the certificate prunes only subtrees without a code of the optimum's
+        # size, so the collection gathers the same masks with it as without
+        graph, open0, size0, chosen0, upper, cliques = _root(SearchConfig(n, t))
+        roots = _orbit_roots(
+            graph.adj, open0, size0, chosen0, upper, _symmetry_perms(graph)
+        )
+        optimum = KNOWN_OPTIMA[t, n]
+        gathered = []
+        for certificate in (cliques, (1, ())):
+            found: list[int] = []
+            *_, done = _solve_stack(
+                graph.adj, list(roots), optimum - 1, 0, None, optimum, certificate,
+                found,
+            )
+            assert done
+            gathered.append(sorted(found))
+        assert gathered[0] == gathered[1]
+
+    @pytest.mark.parametrize(
+        "n,t", [(n, t) for t in SEARCH_CAPS for n in range(t + 1, 8)]
+    )
+    def test_canonical_witness_is_the_least_class(self, n, t):
+        # under the default flags the candidates are the basic words, so the
+        # least optimal code among them is the least member of the first class
+        witness = max_code_size(SearchConfig(n, t, canonical_witness=True)).witness
+        assert witness == enumerate_optimal_codes(SearchConfig(n, t))[0]
