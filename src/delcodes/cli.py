@@ -12,38 +12,28 @@ import argparse
 import json
 import sys
 
-from .codes import (
-    Code,
-    dominant_codewords,
-    find_ball_collision,
-    is_perfect,
-    vt_code,
-)
-from .dominance import (
-    closed_form_generation,
-    enumerate_dominant_pairs,
-    is_dominant,
-    verify_characterization,
-)
-from .search import (
-    SearchBudgetExceeded,
-    SearchConfig,
-    enumerate_optimal_codes,
-    max_code_size,
-)
-from .words import (
-    Word,
-    deletion_ball,
-    deletion_distance,
-    hamming_distance,
-    levenshtein_indel,
-)
-
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_DISCREPANCY = 3
 EXIT_BUDGET = 4
+
+
+def _load(*names: str) -> None:
+    """Bind library names in this namespace, each from the package, which
+    loads its module on first use.  A name already bound is kept, so a
+    wrapper set on this module from outside is what the handlers call."""
+    package = sys.modules[__package__]
+    for name in names:
+        globals().setdefault(name, getattr(package, name))
+
+
+def __getattr__(name: str):
+    # the library names are attributes of this module before any handler runs
+    if name not in sys.modules[__package__].__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(name)
+    return globals()[name]
 
 
 def _dumps(obj) -> str:
@@ -58,9 +48,6 @@ def main(argv: list[str] | None = None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except SearchBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -153,6 +140,7 @@ def _add_json(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_ball(args) -> int:
+    _load("Word", "deletion_ball")
     w = Word(args.word)
     ball = deletion_ball(w, args.t)
     if args.json:
@@ -164,6 +152,7 @@ def _cmd_ball(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    _load("Word", "deletion_distance", "levenshtein_indel", "hamming_distance")
     u, v = Word(args.u), Word(args.v)
     fn = {
         "deletion": deletion_distance,
@@ -179,6 +168,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
+    _load("Word", "is_dominant", "deletion_ball")
     u, v = Word(args.u), Word(args.v)
     dom = is_dominant(u, v, args.t)
     ball_u = len(deletion_ball(u, args.t))
@@ -204,6 +194,7 @@ def _cmd_dominate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _load("closed_form_generation", "enumerate_dominant_pairs")
     if args.method == "closed":
         gen = closed_form_generation(args.n, args.t)
         rows = [(p.u, p.v, list(gen.provenance[p])) for p in gen.pairs]
@@ -231,6 +222,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _load("verify_characterization")
     report = verify_characterization(args.n, args.t)
     if args.json:
         print(_dumps(report.to_json_dict()))
@@ -240,6 +232,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _load("Code", "find_ball_collision", "is_perfect", "dominant_codewords")
     code = Code.from_file(args.file)
     t = args.t
     collision = find_ball_collision(code, t)
@@ -293,6 +286,10 @@ def _cmd_search(args) -> int:
     if args.enumerate and args.canonical:
         print("error: --enumerate and --canonical conflict", file=sys.stderr)
         return EXIT_USAGE
+    _load(
+        "SearchBudgetExceeded", "SearchConfig", "enumerate_optimal_codes",
+        "max_code_size",
+    )
     config = SearchConfig(
         n=args.n,
         t=args.t,
@@ -302,8 +299,15 @@ def _cmd_search(args) -> int:
         time_budget=args.budget,
         workers=args.threads,
     )
+    try:
+        if args.enumerate:
+            codes = enumerate_optimal_codes(config)
+        else:
+            result = max_code_size(config)
+    except SearchBudgetExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
     if args.enumerate:
-        codes = enumerate_optimal_codes(config)
         if args.json:
             print(
                 _dumps(
@@ -321,7 +325,6 @@ def _cmd_search(args) -> int:
                 sys.stdout.write(c.to_text())
         return EXIT_OK
 
-    result = max_code_size(config)
     if args.json:
         print(_dumps(result.to_json_dict()))
     else:
@@ -338,6 +341,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_vt(args) -> int:
+    _load("vt_code")
     code = vt_code(args.n, args.a)
     if args.json:
         print(

@@ -9,12 +9,11 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from .dominance import (
-    _check_query,
-    _dominant_pairs_packed,
-    _dominant_words_packed,
-)
-from .words import MAX_LEN, Word, WordSet, _ball_packed, _images, _lcs_packed
+from .words import Word, WordSet, _ball_packed, _images, _lcs_packed
+
+# longest checksum code listed: vt_code visits all 2**n words, and
+# n = 20 takes about 2 s (see README)
+VT_CAP = 20
 
 
 class Code(WordSet):
@@ -103,6 +102,9 @@ def is_perfect(code: Code, t: int) -> bool:
 
 def dominant_codewords(code: Code, t: int) -> list[Word]:
     """Codewords that dominate some other word of the full space."""
+    # imported on use: only the pair tables need the dominance module
+    from .dominance import _check_query, _dominant_words_packed
+
     _check_t(code, t)
     n = code.member_length
     _check_query(n, t)
@@ -124,6 +126,8 @@ def replace_dominant(code: Code, t: int) -> Code:
     preserved.  Stops when no such replacement exists, so mutually dominant
     pairs cannot cycle.
     """
+    from .dominance import _check_query, _dominant_pairs_packed
+
     if not is_t_deletion_correcting(code, t):
         raise ValueError(f"code is not {t}-deletion-correcting")
     n = code.member_length
@@ -160,8 +164,8 @@ def vt_code(n: int, a: int) -> Code:
     every residue class corrects one deletion and the classes partition the
     full space.
     """
-    if not 1 <= n <= MAX_LEN:
-        raise ValueError(f"word length out of range 1..{MAX_LEN}: {n}")
+    if not 1 <= n <= VT_CAP:
+        raise ValueError(f"word length out of range 1..{VT_CAP}: {n}")
     if not 0 <= a <= n:
         raise ValueError(f"residue {a} out of range 0..{n}")
     return Code._from_packed(

@@ -13,6 +13,7 @@ import functools
 from typing import NamedTuple, Sequence
 
 from .words import (
+    BRUTE_FORCE_CAP,
     Word,
     WordSet,
     _ball_packed,
@@ -23,8 +24,6 @@ from .words import (
     _images,
     _lcs_packed,
 )
-
-BRUTE_FORCE_CAP = 14
 
 
 class DominancePair(NamedTuple):

@@ -26,8 +26,6 @@ from __future__ import annotations
 import functools
 
 from . import _root_data
-from .bound import certify, integer_weights, optimal_duals
-from .dominance import _dominant_pairs_packed, _dominant_words_packed
 from .words import Word, _ball_table, _frozen_table, _images
 
 
@@ -79,6 +77,9 @@ def pruning(n: int, t: int) -> dict[int, int]:
 def basic_subordinates(n: int, t: int) -> dict[int, int]:
     """For each dominant word, its smallest subordinate that is not
     dominant, from the exhaustive pair scan."""
+    # imported here: a search reads the stored rows and never loads the scan
+    from .dominance import _dominant_pairs_packed, _dominant_words_packed
+
     dominant = _dominant_words_packed(n, t)
     out: dict[int, int] = {}
     for u, v in _dominant_pairs_packed(n, t):  # ascending in v
@@ -92,7 +93,9 @@ def computed_rows(n: int, t: int) -> tuple[dict[int, int], dict[int, int]]:
     computations: the rounded optimal duals at the root of the default
     flags, with the two constant windows at their unit c (1 when that root
     has no open word), and basic_subordinates."""
-    # imported here: the search imports this module, not the other way round
+    # imported here: the search imports this module, not the other way
+    # round, and runs neither the simplex nor the scan
+    from .bound import certify, integer_weights, optimal_duals
     from .search import _root_state, build_conflict_graph
 
     prune = basic_subordinates(n, t)

@@ -27,8 +27,7 @@ from typing import NamedTuple
 
 from .bound import certify
 from .codes import Code, vt_code
-from .dominance import BRUTE_FORCE_CAP, _dominant_words_packed
-from .words import Word, _ball_packed, _ball_table, _images
+from .words import BRUTE_FORCE_CAP, Word, _ball_packed, _ball_table, _images
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
 ENUMERATION_CAP = 7
@@ -508,8 +507,12 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
             f"enumeration at n={config.n}, t={config.t} ran out of budget"
         )
 
+    from .rows import pruning
+
     n = config.n
-    dominant = _dominant_words_packed(n, config.t)
+    # the stored pruning pairs drop exactly the dominant words, as the tests
+    # check against the pair scan at every stored (n, t)
+    dominant = pruning(n, config.t)
     keys: set[tuple[int, ...]] = set()
     for chosen in found:
         orbits = [_images(graph.vertices[i].bits, n) for i in _bits_of(chosen)]

@@ -365,6 +365,11 @@ def _frozen_table(fn):
     return frozen
 
 
+# longest word length whose ball table (all 2**n balls) is built: the pair
+# scan's range and the conflict graph's limit for reading balls from it
+BRUTE_FORCE_CAP = 14
+
+
 @functools.lru_cache(maxsize=None)
 @_frozen_table
 def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:

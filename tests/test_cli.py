@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import delcodes
-from delcodes import Code, is_t_deletion_correcting, vt_code
+from delcodes import Code, cli, is_t_deletion_correcting, vt_code
 from delcodes.cli import main
 
 SRC = str(Path(delcodes.__file__).resolve().parent.parent)
+ENV = dict(os.environ, PYTHONPATH=SRC)
 
 
 def run(capsys, *argv):
@@ -305,6 +306,15 @@ class TestVt:
         code, out, err = run(capsys, "vt", "--n", n, "--a", "0")
         assert (code, out) == (1, "") and "out of range" in err
 
+    def test_length_past_cap_is_refused_at_once(self):
+        # a fresh process with a timeout, as the 2**62-word scan never ends
+        proc = subprocess.run(
+            [sys.executable, "-m", "delcodes.cli", "vt", "--n", "62", "--a", "0"],
+            env=ENV, capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "out of range" in proc.stderr
+
     def test_pipes_into_check(self, capsys, tmp_path):
         _, out, _ = run(capsys, "vt", "--n", "6", "--a", "3")
         path = tmp_path / "vt.code"
@@ -367,18 +377,44 @@ class TestColdStart:
 
     @staticmethod
     def python(*args):
-        env = dict(os.environ, PYTHONPATH=SRC)
         return subprocess.run(
-            [sys.executable, *args], env=env, capture_output=True, text=True,
+            [sys.executable, *args], env=ENV, capture_output=True, text=True,
             timeout=120, check=True,
         ).stdout
+
+    def modules_after(self, *argv):
+        """The modules loaded once cli.main has run argv in a fresh process."""
+        out = self.python(
+            "-c",
+            "import sys\n"
+            "from delcodes import cli\n"
+            "cli.main(sys.argv[1:])\n"
+            "print(sorted(sys.modules))",
+            *argv, "--json",
+        )
+        return set(ast.literal_eval(out.splitlines()[-1]))
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "--n", "7", "--t", "1"),
+        ("search", "--n", "6", "--t", "2", "--enumerate"),
+    ])
+    def test_search_leaves_out_the_dominance_module(self, argv):
+        loaded = self.modules_after(*argv)
+        assert "delcodes.search" in loaded
+        assert "delcodes.dominance" not in loaded
+
+    def test_verify_loads_the_dominance_module(self):
+        assert "delcodes.dominance" in self.modules_after("verify", "--n", "6", "--t", "1")
 
     def test_import_leaves_out_the_process_pool_and_dataclasses(self):
         out = self.python(
             "-c", "import delcodes.cli, sys; print(sorted(sys.modules))"
         )
         loaded = set(ast.literal_eval(out))
-        assert "delcodes.cli" in loaded
+        # no library module: each handler loads its own when it runs
+        assert {m for m in loaded if m.split(".")[0] == "delcodes"} == {
+            "delcodes", "delcodes.cli"
+        }
         for name in ("concurrent.futures", "multiprocessing", "dataclasses"):
             assert name not in loaded
 
@@ -403,3 +439,46 @@ class TestColdStart:
             "print(len(balls), sum(id(b) in tracked for b in balls))",
         )
         assert out.split() == ["1024", "0"]
+
+
+class TestLibraryNames:
+    """The handlers call the library names bound on the cli module, so a
+    wrapper set there from outside (as perfbench/tracer.py sets its spans)
+    is what runs."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("max_code_size", ["search", "--n", "5", "--t", "1"]),
+        ("enumerate_optimal_codes", ["search", "--n", "5", "--t", "1", "--enumerate"]),
+        ("verify_characterization", ["verify", "--n", "5", "--t", "1"]),
+        ("enumerate_dominant_pairs", ["enumerate", "--n", "4", "--t", "1"]),
+        ("closed_form_generation", ["enumerate", "--n", "4", "--t", "1", "--method", "closed"]),
+        ("find_ball_collision", ["check", "FILE", "--t", "1"]),
+        ("dominant_codewords", ["check", "FILE", "--t", "1", "--basic"]),
+        ("vt_code", ["vt", "--n", "5", "--a", "0"]),
+    ])
+    def test_a_wrapper_set_on_cli_is_called(
+        self, monkeypatch, capsys, tmp_path, name, argv
+    ):
+        path = tmp_path / "vt5.code"
+        path.write_text(vt_code(5, 0).to_text())
+        original = getattr(cli, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        code, _, _ = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+        assert code == 0 and calls
+
+    def test_star_import_resolves_every_public_name(self):
+        namespace: dict = {}
+        exec("from delcodes import *", namespace)
+        for name in delcodes.__all__:
+            assert namespace[name] is getattr(delcodes, name)
+
+    def test_unknown_names_are_attribute_errors(self):
+        for module in (delcodes, cli):
+            with pytest.raises(AttributeError):
+                module.no_such_name

@@ -286,6 +286,13 @@ class TestVtCodes:
         with pytest.raises(ValueError):
             vt_code(n, 0)
 
+    @pytest.mark.parametrize("n", [codes.VT_CAP + 1, MAX_LEN])
+    def test_length_past_cap_rejected(self, n):
+        # a word of this length is valid, but listing all 2**n words is not
+        # done in time
+        with pytest.raises(ValueError, match="out of range"):
+            vt_code(n, 0)
+
 
 class TestCodeFileFormat:
     def test_parse_with_comments_and_blanks(self):

@@ -25,7 +25,7 @@ from delcodes import (
 )
 from delcodes import _root_data, bound, dominance, rows, search
 from delcodes.bound import certify, integer_weights, optimal_duals
-from delcodes.dominance import _dominant_pairs_packed
+from delcodes.dominance import _dominant_pairs_packed, _dominant_words_packed
 from delcodes.search import (
     SEARCH_CAPS,
     _bits_of,
@@ -393,6 +393,8 @@ def test_pruning_rows_match_the_pair_scan():
     assert set(_root_data.PRUNE) == set(_root_data.DUALS) == keys
     for n, t in sorted(keys):
         assert rows.decode(_root_data.PRUNE[n, t]) == rows.basic_subordinates(n, t)
+        # the enumeration's class filter reads the dominant words from the row
+        assert set(rows.pruning(n, t)) == _dominant_words_packed(n, t)
 
 
 @pytest.mark.parametrize("n,t", [
