@@ -10,6 +10,7 @@ report type that diffs generated pairs against the exhaustive enumeration.
 from __future__ import annotations
 
 import functools
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .words import (
@@ -23,6 +24,7 @@ from .words import (
     _frozen_table,
     _images,
     _lcs_packed,
+    _orbit_leaders,
 )
 
 
@@ -73,17 +75,13 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     other than themselves, and only those compare balls, once the holder
     table is gone; each ball is the union of the (n - 1, t - 1) balls of its
     one-deletion neighbours.  Complement and reversal map balls to balls, so
-    one v per orbit is scanned and each pair found stands for its images
-    under them.
+    the least v of each orbit is scanned and each pair found stands for its
+    images under them.
     """
     holders = _containers(n, t).__getitem__
     low = (1 << (n - t)) - 1
     found: list[tuple[int, frozenset[int]]] = []
-    seen: set[int] = set()
-    for v in range(1 << n):
-        if v in seen:
-            continue
-        seen.update(_images(v, n))
+    for v in _orbit_leaders(n):
         cand = frozenset.intersection(*[holders(v >> k & low) for k in range(t + 1)])
         if len(cand) > 1:
             found.append((v, cand))
@@ -503,15 +501,14 @@ def _generate(n: int, t: int):
 
 
 def _add_constant_subordinates(acc, n: int, t: int) -> None:
-    """Words dominating the all-zero and all-one words: weight at most t,
-    respectively at least n - t (excluding the subordinate itself)."""
-    zero, one = 0, (1 << n) - 1
-    for ub in range(1 << n):
-        w = ub.bit_count()
-        if ub != zero and w <= t:
-            acc.setdefault((ub, zero), set()).add("all-zero")
-        if ub != one and w >= n - t:
-            acc.setdefault((ub, one), set()).add("all-one")
+    """Words dominating the all-zero and all-one words: weight 1..t,
+    respectively their complements, of weight n - t..n - 1."""
+    one = (1 << n) - 1
+    for k in range(1, t + 1):
+        for bits in combinations([1 << i for i in range(n)], k):
+            ub = sum(bits)
+            acc.setdefault((ub, 0), set()).add("all-zero")
+            acc.setdefault((ub ^ one, one), set()).add("all-one")
 
 
 def _try_row(acc, filtered, pattern: PatternPair, n, m, p, t) -> None:

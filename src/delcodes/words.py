@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import gc
-from typing import Iterable, Iterator
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 MAX_LEN = 62
 
@@ -306,11 +307,8 @@ def _lcs_packed(xb: int, xn: int, yb: int, yn: int) -> int:
 
 
 def _reverse_packed(bits: int, n: int) -> int:
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (bits & 1)
-        bits >>= 1
-    return out
+    # at n = 0 the format is "0", which reads back as 0
+    return int(format(bits, f"0{n}b")[::-1], 2)
 
 
 def _images(bits: int, n: int) -> tuple[int, int, int, int]:
@@ -320,6 +318,19 @@ def _images(bits: int, n: int) -> tuple[int, int, int, int]:
     mask = (1 << n) - 1
     r = _reverse_packed(bits, n)
     return bits, bits ^ mask, r, r ^ mask
+
+
+def _orbit_leaders(n: int) -> Iterator[int]:
+    """The least member of every orbit of `_images` at length n >= 1, in
+    ascending order.  A word starting with 1 has a smaller complement, and of
+    its reversal and reverse complement the one starting with 0 is the
+    smaller, so the leaders are the words v < 2**(n-1) that are at most
+    that one."""
+    mask = (1 << n) - 1
+    for v in range(1 << (n - 1)):
+        r = _reverse_packed(v, n)
+        if v <= (r ^ mask if v & 1 else r):
+            yield v
 
 
 def _ball_packed(bits: int, n: int, t: int) -> frozenset[int]:
@@ -365,6 +376,28 @@ def _frozen_table(fn):
     return frozen
 
 
+def _blocks(images: Sequence, size: int, step: int, times: int, start: int = 0):
+    """The slices images[a:a + size] for a = start, start + step, ... below
+    len(images), each `times` times, end to end: one column of a table's
+    one-step level, in the order of the words whose images they are, read
+    lazily in C and holding the objects of `images` themselves."""
+    if size <= 8:
+        # short blocks, where a range per block would cost more than its
+        # images: read them as `size` strided streams side by side
+        streams = [
+            islice(images, start + i, None, step)
+            for _ in range(times)
+            for i in range(size)
+        ]
+        return chain.from_iterable(zip(*streams))
+    # long blocks: index them, since a list per block would hold up to a
+    # whole column at once
+    starts = range(start, len(images), step)
+    stops = range(start + size, len(images) + size, step)
+    starts, stops = (chain.from_iterable(zip(*[r] * times)) for r in (starts, stops))
+    return map(images.__getitem__, chain.from_iterable(map(range, starts, stops)))
+
+
 # longest word length whose ball table (all 2**n balls) is built: the pair
 # scan's range and the conflict graph's limit for reading balls from it
 BRUTE_FORCE_CAP = 14
@@ -376,13 +409,20 @@ def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
     """Deletion balls of every length-n word, indexed by packed value."""
     if t == 0:
         return tuple(frozenset((b,)) for b in range(1 << n))
-    masks = _deletion_masks(n)
-    ball1 = ({b & lo | (b >> 1) & hi for lo, hi in masks} for b in range(1 << n))
+    if t > n:
+        return (frozenset(),) * (1 << n)
+    # deleting bit s maps b = h*2**(s+1) + x*2**s + l to h*2**s + l, so over
+    # b in order the images are the block h*2**s .. (h+1)*2**s - 1 twice per
+    # h; read at t = 1 as the words, one shared int object each, and above
+    # as their (n - 1, t - 1) balls, which each row unites
+    images = list(range(1 << (n - 1))) if t == 1 else _ball_table(n - 1, t - 1)
+    # a row repeats an image wherever a run absorbs the deletion; as a set it
+    # also sizes a frozenset copied from it to its distinct members
+    rows = map(set, zip(*[_blocks(images, 1 << s, 1 << s, 2) for s in range(n)]))
     if t == 1:
-        return tuple(map(frozenset, ball1))
-    prev = _ball_table(n - 1, t - 1).__getitem__
+        return tuple(map(frozenset, rows))
     empty: frozenset[int] = frozenset()
-    return tuple([empty.union(*map(prev, d)) for d in ball1])
+    return tuple([empty.union(*row) for row in rows])
 
 
 def _containers(n: int, t: int) -> list[frozenset[int]]:
@@ -395,17 +435,17 @@ def _containers(n: int, t: int) -> list[frozenset[int]]:
     if t == 0:
         return [frozenset((b,)) for b in range(1 << n)]
     m = n - t
-    # inserting a symbol at bit s keeps the s bits below it, shifts the bits
-    # from s up by one and sets bit s to the symbol
-    masks = [((1 << s) - 1, -1 << (s + 1), 1 << s) for s in range(m + 1)]
-    # one int object per word, shared by every set that holds it
-    word = list(range(1 << (m + 1)))
-    ins1 = (
-        {word[y & lo | (y << 1) & hi | c] for lo, hi, bit in masks for c in (0, bit)}
-        for y in range(1 << m)
+    # inserting symbol c at bit s maps y = h*2**s + l to
+    # h*2**(s+1) + c*2**s + l, so over y in order the images are the blocks
+    # a .. a + 2**s - 1 for a = c*2**s, c*2**s + 2**(s+1), ...; read at t = 1
+    # as the words, one shared int object each, and above as their
+    # (n, t - 1) holder sets, which each row unites
+    images = list(range(1 << (m + 1))) if t == 1 else _containers(n, t - 1)
+    rows = zip(
+        *[_blocks(images, 1 << s, 2 << s, 1, c << s) for s in range(m + 1) for c in (0, 1)]
     )
     if t == 1:
-        return list(map(frozenset, ins1))
-    nxt = _containers(n, t - 1).__getitem__
+        return list(map(frozenset, rows))
     empty: frozenset[int] = frozenset()
-    return [empty.union(*map(nxt, d)) for d in ins1]
+    # a row repeats an image wherever a run absorbs the inserted symbol
+    return [empty.union(*row) for row in map(set, rows)]

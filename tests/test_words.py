@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,14 @@ from delcodes import (
     run_length_encode,
     weight,
 )
-from delcodes.words import _ball_packed, _ball_table, _containers, _frozen_table
+from delcodes.words import (
+    _ball_packed,
+    _ball_table,
+    _containers,
+    _frozen_table,
+    _images,
+    _orbit_leaders,
+)
 
 
 class TestWordBasics:
@@ -105,6 +113,10 @@ class TestSimpleTransforms:
         assert complement(complement(w)) == w
         assert reverse(reverse(w)) == w
         assert reverse_complement(w) == complement(reverse(w)) == reverse(complement(w))
+
+    @given(words_st(max_len=62))
+    def test_reverse_reads_the_string_backwards(self, w):
+        assert str(reverse(w)) == str(w)[::-1]
 
     @given(words_st())
     def test_weight_complement(self, w):
@@ -239,6 +251,44 @@ class TestBallTables:
                 assert gc.isenabled() is state
         finally:
             (gc.enable if was else gc.disable)()
+
+    def test_ball_table_matches_per_word_balls_past_the_length(self):
+        # more deletions than symbols leave every ball empty; the column
+        # build has no column to read at n = 0
+        for n in range(4):
+            for t in range(4):
+                balls = tuple(_ball_packed(b, n, t) for b in range(1 << n))
+                assert _ball_table(n, t) == balls, (n, t)
+
+    def test_tables_at_the_length_cap_match_the_definitions(self):
+        # the exhaustive checks above stop at n = 10: sample 64 words per
+        # table at n = 14, where every column is longest
+        n, rng = 14, random.Random(14)
+        for t in (1, 2):
+            # uncached at t = 2, so that the test process does not keep it
+            balls = _ball_table(n, 1) if t == 1 else _ball_table.__wrapped__(n, 2)
+            for b in rng.sample(range(1 << n), 64):
+                assert balls[b] == _ball_packed(b, n, t), (t, b)
+            sample = frozenset(rng.sample(range(1 << (n - t)), 64))
+            inverse = {y: set() for y in sample}
+            for b, ball in enumerate(balls):
+                for y in ball & sample:
+                    inverse[y].add(b)
+            holders = _containers(n, t)
+            for y in sample:
+                assert holders[y] == inverse[y], (t, y)
+
+
+class TestOrbitLeaders:
+    def test_the_walk_visits_the_least_word_of_every_orbit(self):
+        for n in range(1, 15):
+            seen: set[int] = set()
+            least = []
+            for v in range(1 << n):
+                if v not in seen:
+                    seen.update(_images(v, n))
+                    least.append(v)
+            assert list(_orbit_leaders(n)) == least, n
 
 
 class TestSubsequence:
