@@ -103,12 +103,12 @@ def is_perfect(code: Code, t: int) -> bool:
 def dominant_codewords(code: Code, t: int) -> list[Word]:
     """Codewords that dominate some other word of the full space."""
     # imported on use: only the pair tables need the dominance module
-    from .dominance import _check_query, _dominant_words_packed
+    from .dominance import _check_query, _dominant_pairs_packed
 
     _check_t(code, t)
     n = code.member_length
     _check_query(n, t)
-    dominant = _dominant_words_packed(n, t)
+    dominant = {u for u, _ in _dominant_pairs_packed(n, t)}
     return [Word.from_bits(bits, n) for bits in code.packed() if bits in dominant]
 
 

@@ -107,13 +107,6 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
 
 
-@functools.lru_cache(maxsize=None)
-@_frozen_table
-def _dominant_words_packed(n: int, t: int) -> frozenset[int]:
-    """Packed words that dominate at least one other word."""
-    return frozenset(u for u, _ in _dominant_pairs_packed(n, t))
-
-
 def enumerate_dominant_pairs(n: int, t: int) -> list[DominancePair]:
     """Every dominant pair of length n, by exhaustive scan; sorted by (v, u)."""
     if not 2 <= n <= BRUTE_FORCE_CAP:

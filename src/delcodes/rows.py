@@ -78,11 +78,12 @@ def basic_subordinates(n: int, t: int) -> dict[int, int]:
     """For each dominant word, its smallest subordinate that is not
     dominant, from the exhaustive pair scan."""
     # imported here: a search reads the stored rows and never loads the scan
-    from .dominance import _dominant_pairs_packed, _dominant_words_packed
+    from .dominance import _dominant_pairs_packed
 
-    dominant = _dominant_words_packed(n, t)
+    pairs = _dominant_pairs_packed(n, t)
+    dominant = {u for u, _ in pairs}
     out: dict[int, int] = {}
-    for u, v in _dominant_pairs_packed(n, t):  # ascending in v
+    for u, v in pairs:  # ascending in v
         if v not in dominant:
             out.setdefault(u, v)
     return out

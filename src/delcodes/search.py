@@ -397,7 +397,7 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     best_size, best_chosen = _initial_incumbent(graph, open0, size0, chosen0)
     # some image of every code under the symmetries lies in the roots
     stack = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
-    procs = min(config.workers, os.cpu_count() or 1)
+    procs = min(config.workers, _cpu_count())
     # with several processes, a serial prefix first: a small tree ends in it
     # and starts no pool; the prefix leaves at least one subproblem on the
     # stack when it does not end the tree
@@ -447,6 +447,14 @@ def max_code_size(config: SearchConfig) -> SearchResult:
         exhausted=exhausted,
         upper_bound=best_size if exhausted else upper,
     )
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _root(config: SearchConfig):
@@ -526,30 +534,26 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
 def _initial_incumbent(
     graph: ConflictGraph, open0: int, size0: int, chosen0: int
 ) -> tuple[int, int]:
-    """Strong deterministic starting solution: min-degree greedy extension of
-    the root state, improved for single deletions by the best checksum-residue
-    code, its pruned words replaced by candidate subordinates."""
-    rank = [w.bits for w in graph.vertices]
-    size, chosen = _greedy_independent(open0, graph.adj, rank)
-    best_size, best_chosen = size + size0, chosen | chosen0
+    """Deterministic starting solution.  For single deletions it is the
+    checksum code VT_0, the largest residue class (Ginzburg 1967), its
+    pruned words traded for their stored subordinates; for more deletions,
+    the min-degree greedy extension of the root state."""
     if graph.t == 1:
         from .rows import pruning
 
         n = graph.word_length
-        subordinate = pruning(n, 1)
-        for a in range(n + 1):
-            mask = 0
-            for bits in vt_code(n, a).packed():
-                if bits not in graph._index:
-                    # a subordinate's ball lies inside the codeword's, so the
-                    # code still corrects
-                    bits = subordinate.get(bits)
-                i = graph._index.get(bits)
-                if i is not None:
-                    mask |= 1 << i
-            if mask.bit_count() > best_size:
-                best_size, best_chosen = mask.bit_count(), mask
-    return best_size, best_chosen
+        index = graph._index
+        mask = 0
+        for bits in vt_code(n, 0).packed():
+            if bits not in index:
+                # a subordinate's ball lies inside the codeword's, so the
+                # code still corrects
+                bits = pruning(n, 1)[bits]
+            mask |= 1 << index[bits]
+        return mask.bit_count(), mask
+    rank = [w.bits for w in graph.vertices]
+    size, chosen = _greedy_independent(open0, graph.adj, rank)
+    return size + size0, chosen | chosen0
 
 
 def _prepare(config: SearchConfig):

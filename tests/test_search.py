@@ -21,11 +21,12 @@ from delcodes import (
     is_basic,
     is_t_deletion_correcting,
     max_code_size,
+    vt_code,
     weight,
 )
 from delcodes import _root_data, bound, dominance, rows, search
 from delcodes.bound import certify, integer_weights, optimal_duals
-from delcodes.dominance import _dominant_pairs_packed, _dominant_words_packed
+from delcodes.dominance import _dominant_pairs_packed
 from delcodes.search import (
     SEARCH_CAPS,
     _bits_of,
@@ -176,6 +177,9 @@ def serial_pool(monkeypatch):
     monkeypatch.setattr(search, "_worker_search", ())
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(4)), raising=False
+    )
     return pools
 
 
@@ -289,12 +293,43 @@ class TestMaxCodeSize:
 
     def test_checksum_seed_keeps_pruned_codewords(self):
         # pruned codewords are swapped for candidate subordinates, not dropped
-        for n, size in {7: 16, 9: 52, 10: 94, 11: 172}.items():
+        for n, size in {7: 16, 9: 52, 10: 94, 11: 172, 12: 316}.items():
             graph, open0, size0, chosen0 = _prepare(SearchConfig(n, 1))
             seed, mask = _initial_incumbent(graph, open0, size0, chosen0)
             code = Code([w for i, w in enumerate(graph.vertices) if mask >> i & 1])
             assert seed == len(code) == size
             assert is_t_deletion_correcting(code, 1)
+
+    def test_t1_seed_is_vt0_alone(self, monkeypatch):
+        # one checksum class and no greedy, under every flag pair
+        residues = []
+
+        def vt_spy(n, a):
+            residues.append(a)
+            return vt_code(n, a)
+
+        def no_greedy(*args):
+            raise AssertionError("the greedy ran at t = 1")
+
+        monkeypatch.setattr(search, "vt_code", vt_spy)
+        monkeypatch.setattr(search, "_greedy_independent", no_greedy)
+        lengths = range(2, SEARCH_CAPS[1] + 1)
+        for flags in FLAGS:
+            for n in lengths:
+                _initial_incumbent(*_prepare(SearchConfig(n, 1, *flags)))
+        assert residues == [0] * (len(FLAGS) * len(lengths))
+
+    @pytest.mark.parametrize("basic_only,force", FLAGS)
+    def test_t1_seed_matches_the_old_rule(self, basic_only, force):
+        # the greedy and the other residues never beat VT_0: they tie with
+        # it below n = 7, and from there on VT_0 alone is the largest
+        for n in range(2, 11):
+            root = _prepare(SearchConfig(n, 1, basic_only, force))
+            seed = _initial_incumbent(*root)
+            old = _greedy_then_best_residue(*root)
+            assert seed[0] == old[0], n
+            if n >= 7:
+                assert seed == old, n
 
     def test_two_workers_settle_t1_n7(self):
         r = max_code_size(SearchConfig(7, 1, workers=2))
@@ -346,10 +381,47 @@ class TestMaxCodeSize:
         assert r.exhausted and r.optimum == serial.optimum
         assert r.node_count == serial.node_count
 
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_one_cpu_starts_no_pool(self, serial_pool, monkeypatch, affinity):
+        # the CPUs counted are those this process may run on: its affinity
+        # set where the platform has one, else every CPU of the machine
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(search, "_SERIAL_PREFIX_NODES", 0)
+        serial = max_code_size(SearchConfig(7, 1))
+        r = max_code_size(SearchConfig(7, 1, workers=2))
+        assert serial_pool == []
+        assert r == serial._replace(wall_time_ms=r.wall_time_ms)
+
     def test_nan_budget_rejected(self):
         for budget in (float("nan"), -1.0):
             with pytest.raises(ValueError, match="budget"):
                 SearchConfig(9, 1, time_budget=budget).validate()
+
+
+def _greedy_then_best_residue(graph, open0, size0, chosen0):
+    """The t = 1 seed before it was VT_0 alone: the min-degree greedy
+    extension of the root, replaced by any checksum class that is strictly
+    larger, its pruned words traded for their subordinates."""
+    rank = [w.bits for w in graph.vertices]
+    size, chosen = _greedy_independent(open0, graph.adj, rank)
+    best_size, best_chosen = size + size0, chosen | chosen0
+    n = graph.word_length
+    subordinate = rows.pruning(n, 1)
+    for a in range(n + 1):
+        mask = 0
+        for bits in vt_code(n, a).packed():
+            if bits not in graph._index:
+                bits = subordinate.get(bits)
+            i = graph._index.get(bits)
+            if i is not None:
+                mask |= 1 << i
+        if mask.bit_count() > best_size:
+            best_size, best_chosen = mask.bit_count(), mask
+    return best_size, best_chosen
 
 
 def test_every_dominant_word_has_a_basic_subordinate():
@@ -394,7 +466,7 @@ def test_pruning_rows_match_the_pair_scan():
     for n, t in sorted(keys):
         assert rows.decode(_root_data.PRUNE[n, t]) == rows.basic_subordinates(n, t)
         # the enumeration's class filter reads the dominant words from the row
-        assert set(rows.pruning(n, t)) == _dominant_words_packed(n, t)
+        assert set(rows.pruning(n, t)) == {u for u, _ in _dominant_pairs_packed(n, t)}
 
 
 @pytest.mark.parametrize("n,t", [
@@ -411,7 +483,7 @@ def test_search_reads_the_rows(monkeypatch, fresh_pruning):
         raise AssertionError("computed, not read from the rows")
 
     for module in (search, rows, dominance, bound):
-        for name in ("optimal_duals", "_dominant_pairs_packed", "_dominant_words_packed"):
+        for name in ("optimal_duals", "_dominant_pairs_packed"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, never)
     for flags in FLAGS:
