@@ -19,7 +19,6 @@ from .words import (
     WordSet,
     _ball_packed,
     _ball_table,
-    _containers,
     _deletion_masks,
     _frozen_table,
     _images,
@@ -69,40 +68,54 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """All packed (u, v) with u dominant over v, sorted by (v, u).
 
     Each length-(n - t) window of v, `v >> k & low` for k = 0..t, is v after
-    t deletions, so every dominator of v holds all t + 1 windows in its
-    ball: the candidates are the intersection of the windows' holder sets,
-    built by insertion for this scan alone.  Few words keep a candidate
-    other than themselves, and only those compare balls, once the holder
-    table is gone; each ball is the union of the (n - 1, t - 1) balls of its
-    one-deletion neighbours.  Complement and reversal map balls to balls, so
-    the least v of each orbit is scanned and each pair found stands for its
-    images under them.
+    t deletions, so a word u dominates v only if its ball B holds all t + 1
+    of them.  The scan starts from u: it joins the prefix windows p = v >> t
+    in B with the suffix windows s = v & low in B on the n - 2t bits the two
+    share (none when n <= 2t), which gives v = p << t | tail for every t-bit
+    tail that s fixes, keeps the v whose middle windows are in B too, and
+    compares balls only for those.  Each ball is the union of the
+    (n - 1, t - 1) balls of its one-deletion neighbours, and only the
+    candidates' balls are kept.  Complement and reversal map balls to
+    balls, so the least u of each orbit is scanned and each pair found
+    stands for its images under them.
     """
-    holders = _containers(n, t).__getitem__
-    low = (1 << (n - t)) - 1
-    found: list[tuple[int, frozenset[int]]] = []
-    for v in _orbit_leaders(n):
-        cand = frozenset.intersection(*[holders(v >> k & low) for k in range(t + 1)])
-        if len(cand) > 1:
-            found.append((v, cand))
-    # freed before any ball is built, so that the two never share the peak
-    del holders
-
     masks = _deletion_masks(n)
     prev = _ball_table(n - 1, t - 1).__getitem__
     empty: frozenset[int] = frozenset()
-    balls: dict[int, frozenset[int]] = {}
 
     def ball(b: int) -> frozenset[int]:
-        if b not in balls:
-            ball1 = {b & lo | (b >> 1) & hi for lo, hi in masks}
-            balls[b] = empty.union(*map(prev, ball1))
-        return balls[b]
+        return empty.union(*map(prev, {b & lo | (b >> 1) & hi for lo, hi in masks}))
 
+    m = n - t
+    low = (1 << m) - 1
+    # the suffix's bits above its t-bit tail are the prefix's lowest ones;
+    # when the windows do not meet (m < t), the tail's bits above the suffix
+    # are free, and each fill sets them
+    shared = low >> t
+    ends = (1 << t) - 1
+    fills = range(0, ends + 1, 1 << m)
+    balls: dict[int, frozenset[int]] = {}
     pairs: set[tuple[int, int]] = set()
-    for v, cand in found:
-        for u in cand:
-            if u != v and ball(v) <= ball(u):
+    for u in _orbit_leaders(n):
+        dom = ball(u)
+        tails: dict[int, list[int]] = {}
+        for s in dom:
+            tails.setdefault(s >> t, []).append(s & ends)
+        cands = [
+            p << t | tail | f
+            for p in dom
+            for tail in tails.get(p & shared, ())
+            for f in fills
+        ]
+        for k in range(1, t):
+            cands = [v for v in cands if v >> k & low in dom]
+        for v in cands:
+            if v == u:
+                continue
+            sub = balls.get(v)
+            if sub is None:
+                sub = balls[v] = ball(v)
+            if sub <= dom:
                 pairs.update(zip(_images(u, n), _images(v, n)))
     return tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
 

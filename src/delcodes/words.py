@@ -376,8 +376,8 @@ def _frozen_table(fn):
     return frozen
 
 
-def _blocks(images: Sequence, size: int, step: int, times: int, start: int = 0):
-    """The slices images[a:a + size] for a = start, start + step, ... below
+def _blocks(images: Sequence, size: int, times: int):
+    """The slices images[a:a + size] for a = 0, size, 2 * size, ... below
     len(images), each `times` times, end to end: one column of a table's
     one-step level, in the order of the words whose images they are, read
     lazily in C and holding the objects of `images` themselves."""
@@ -385,15 +385,15 @@ def _blocks(images: Sequence, size: int, step: int, times: int, start: int = 0):
         # short blocks, where a range per block would cost more than its
         # images: read them as `size` strided streams side by side
         streams = [
-            islice(images, start + i, None, step)
+            islice(images, i, None, size)
             for _ in range(times)
             for i in range(size)
         ]
         return chain.from_iterable(zip(*streams))
     # long blocks: index them, since a list per block would hold up to a
     # whole column at once
-    starts = range(start, len(images), step)
-    stops = range(start + size, len(images) + size, step)
+    starts = range(0, len(images), size)
+    stops = range(size, len(images) + size, size)
     starts, stops = (chain.from_iterable(zip(*[r] * times)) for r in (starts, stops))
     return map(images.__getitem__, chain.from_iterable(map(range, starts, stops)))
 
@@ -418,34 +418,9 @@ def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
     images = list(range(1 << (n - 1))) if t == 1 else _ball_table(n - 1, t - 1)
     # a row repeats an image wherever a run absorbs the deletion; as a set it
     # also sizes a frozenset copied from it to its distinct members
-    rows = map(set, zip(*[_blocks(images, 1 << s, 1 << s, 2) for s in range(n)]))
+    rows = map(set, zip(*[_blocks(images, 1 << s, 2) for s in range(n)]))
     if t == 1:
         return tuple(map(frozenset, rows))
     empty: frozenset[int] = frozenset()
     return tuple([empty.union(*row) for row in rows])
 
-
-def _containers(n: int, t: int) -> list[frozenset[int]]:
-    """For each length n-t word, the length-n words whose deletion ball holds
-    it: its supersequences after t insertions, indexed by packed value.
-
-    Not cached: the pair scan needs it for one build, and a table as large
-    as the ball table kept for the life of the process would raise the peak
-    of every later search."""
-    if t == 0:
-        return [frozenset((b,)) for b in range(1 << n)]
-    m = n - t
-    # inserting symbol c at bit s maps y = h*2**s + l to
-    # h*2**(s+1) + c*2**s + l, so over y in order the images are the blocks
-    # a .. a + 2**s - 1 for a = c*2**s, c*2**s + 2**(s+1), ...; read at t = 1
-    # as the words, one shared int object each, and above as their
-    # (n, t - 1) holder sets, which each row unites
-    images = list(range(1 << (m + 1))) if t == 1 else _containers(n, t - 1)
-    rows = zip(
-        *[_blocks(images, 1 << s, 2 << s, 1, c << s) for s in range(m + 1) for c in (0, 1)]
-    )
-    if t == 1:
-        return list(map(frozenset, rows))
-    empty: frozenset[int] = frozenset()
-    # a row repeats an image wherever a run absorbs the inserted symbol
-    return [empty.union(*row) for row in map(set, rows)]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -37,14 +38,22 @@ BRUTE_COUNTS_T2 = {3: 42, 4: 88, 5: 134, 6: 182, 7: 232, 8: 284}
 BRUTE_COUNTS_T3 = {4: 210, 5: 550, 6: 984}
 # sha256 of repr(_dominant_pairs_packed(n, t)): the pairs and their order
 PAIR_TABLE_SHA256 = {
+    (9, 1): "fd0a65738874b598ed125474826212b56c20e7ccd73a26ba8b741b721e57f351",
+    (11, 1): "1168644e7a005a7f1914ee8d2f17d33b950a4fd555dd90c42d2dbde4fb241258",
     (12, 1): "e157df96634129e5da5a6f5e3d9715aa77648bb2bc08171435944f879cd1c7a7",
     (10, 2): "28d0b311c9369fb25f03b68ecb4ed0eeede9732aad864d6fe5baedac7291c54b",
+    (11, 2): "2ad061102adfc54f6fb1bcef56a2bf170a22097c6ef74ea6baa58ce13292a418",
     (12, 2): "78572a0da5990b9331637db80342b1bf3505ce6f76dc1dc3c0e501cfea179fb3",
+    (13, 2): "61b55b213852f9fdc19685f487ab6ea6aa0c16b3435fb91639f6de5ac1413b53",
+    (9, 3): "cb773b775b69b5a368138164c2202349a1867143558dcd9602cde4200067923c",
+    (10, 3): "1b74d9fc205ec07846bdc33ec81914a75fe4c050cccb7051382c8a8c42a73730",
     (11, 3): "28dce6cf053ec34489f1e7adafa215d81a6ebbf47c8482d1c199db4e80ea7667",
     (13, 1): "4764dc5c3916fdce67cfe9800f3f2d5bc056d8ac0cf0824d03722c06f05447fc",
     (14, 1): "cea7d545748d3193556e31e37b7c5954f8e04d5ade7439c96e9fbab85038ad70",
     (14, 2): "1e5426ebdd27bf8b23318a58b2fabd7d7923ab47b786d3ca473cb48dd24efc3f",
     (12, 3): "72d9412a52e4f30418a6e6fcc267226c36e3ba839200fcfb2b2667860dd52e1f",
+    (13, 3): "df9f7423d74ef74c96134daf3c09ff7915901b76495bd9824b5d3c390fb28e69",
+    (14, 3): "30727a3eeb82e6411ca7e2767ec2f3a3a52c919f33cf655db55dd35db480be48",
 }
 
 
@@ -126,6 +135,12 @@ class TestEnumeration:
     def test_matches_string_oracle_beyond_the_sampled_lengths(self, n, t):
         assert pair_strings(enumerate_dominant_pairs(n, t)) == ref_dominant_pairs(n, t)
 
+    # the two end windows do not overlap (n < 2t) or meet on no bits
+    # (n = 2t), and at n = t the whole word is one window
+    @pytest.mark.parametrize("n, t", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (5, 3), (6, 3)])
+    def test_matches_string_oracle_where_the_end_windows_do_not_overlap(self, n, t):
+        assert pair_strings(enumerate_dominant_pairs(n, t)) == ref_dominant_pairs(n, t)
+
     @pytest.mark.parametrize("n, t", sorted(PAIR_TABLE_SHA256))
     def test_pair_table_pinned(self, n, t):
         digest = hashlib.sha256(repr(_dominant_pairs_packed(n, t)).encode())
@@ -145,6 +160,19 @@ class TestEnumeration:
         monkeypatch.undo()
         assert built and (n, t) not in built
         assert pairs == _dominant_pairs_packed(n, t)
+
+    @pytest.mark.parametrize("n, t, limit_mb", [(12, 2, 2), (12, 3, 8)])
+    def test_scan_keeps_no_holder_table(self, n, t, limit_mb):
+        # a scan through a table of every window's holders peaked at about
+        # 6 and 13 MB here
+        dominance._ball_table(n - 1, t - 1)
+        tracemalloc.start()
+        try:
+            _dominant_pairs_packed.__wrapped__(n, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb << 20, peak
 
     def test_caps(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ from delcodes import (
 from delcodes.words import (
     _ball_packed,
     _ball_table,
-    _containers,
     _frozen_table,
     _images,
     _orbit_leaders,
@@ -222,16 +221,6 @@ class TestBallTables:
                 for b in range(1 << n):
                     assert table[b] == _ball_packed(b, n, t), (n, t, b)
 
-    def test_containers_invert_the_ball_table(self):
-        # built by insertion, checked against the inverted deletion balls
-        for n in range(11):
-            for t in range(min(3, n) + 1):
-                inverse = [set() for _ in range(1 << (n - t))]
-                for b, ball in enumerate(_ball_table(n, t)):
-                    for y in ball:
-                        inverse[y].add(b)
-                assert _containers(n, t) == list(map(frozenset, inverse)), (n, t)
-
     def test_builds_pause_the_collector_and_restore_it(self):
         assert _frozen_table(gc.isenabled)() is False
         was = gc.isenabled()
@@ -269,14 +258,6 @@ class TestBallTables:
             balls = _ball_table(n, 1) if t == 1 else _ball_table.__wrapped__(n, 2)
             for b in rng.sample(range(1 << n), 64):
                 assert balls[b] == _ball_packed(b, n, t), (t, b)
-            sample = frozenset(rng.sample(range(1 << (n - t)), 64))
-            inverse = {y: set() for y in sample}
-            for b, ball in enumerate(balls):
-                for y in ball & sample:
-                    inverse[y].add(b)
-            holders = _containers(n, t)
-            for y in sample:
-                assert holders[y] == inverse[y], (t, y)
 
 
 class TestOrbitLeaders:
