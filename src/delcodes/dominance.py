@@ -73,18 +73,20 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     in B with the suffix windows s = v & low in B on the n - 2t bits the two
     share (none when n <= 2t), which gives v = p << t | tail for every t-bit
     tail that s fixes, keeps the v whose middle windows are in B too, and
-    compares balls only for those.  Each ball is the union of the
-    (n - 1, t - 1) balls of its one-deletion neighbours, and only the
-    candidates' balls are kept.  Complement and reversal map balls to
-    balls, so the least u of each orbit is scanned and each pair found
+    compares balls only for those.  Each ball is the set of the one-deletion
+    images at t = 1, and above it the union of their (n - 1, t - 1) balls;
+    only the candidates' balls are kept.  Complement and reversal map balls
+    to balls, so the least u of each orbit is scanned and each pair found
     stands for its images under them.
     """
     masks = _deletion_masks(n)
-    prev = _ball_table(n - 1, t - 1).__getitem__
+    # at t = 1 the (n - 1, 0) balls are singletons: no table to unite
+    prev = _ball_table(n - 1, t - 1).__getitem__ if t > 1 else None
     empty: frozenset[int] = frozenset()
 
     def ball(b: int) -> frozenset[int]:
-        return empty.union(*map(prev, {b & lo | (b >> 1) & hi for lo, hi in masks}))
+        images = {b & lo | (b >> 1) & hi for lo, hi in masks}
+        return empty.union(*map(prev, images)) if prev else frozenset(images)
 
     m = n - t
     low = (1 << m) - 1

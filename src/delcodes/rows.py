@@ -1,10 +1,21 @@
-"""Stored root rows of the search: read, checked, and computed afresh.
+"""Stored root rows of the search, read and re-checked.
 
 Two root inputs of a search depend only on (n, t): the weights W_y of the
-root LP (see bound.py) and the pruning pairs, each dominant word with its
-least subordinate that is not dominant.  _root_data.py stores both for
-every (n, t) inside the search caps, t < n, as strings of hex "a:b" pairs.
-tools/root_data.py writes the rows from computed_rows.
+root LP and the pruning pairs, each dominant word with its least
+subordinate that is not dominant.  _root_data.py stores both for every
+(n, t) inside the search caps, t < n, as strings of hex "a:b" pairs.
+tools/root_data.py computes and writes them: the pair scan gives the
+pairs, and a simplex gives the weights.
+
+The weights bound the root by a fractional clique cover.  Every word y of
+length n - t defines a clique of the conflict graph: the candidates whose
+t-deletion balls hold y.  Given integer weights W_y >= 0, let c be the
+least total weight of the ball of any open vertex.  The balls of a code
+are disjoint, so a code inside the open vertices has at most
+sum_y W_y // c words, and inside a smaller open set at most the weight of
+the y still reachable from it, divided by c.  The stored weights are the
+rounded optimal duals of the packing LP over these cliques (Kulkarni and
+Kashyap, IEEE Trans. IT 2013).
 
 One row of weights serves every flag pair: the optimal duals at the root of
 the default flags, whose least ball weight is c (1 when no word is open
@@ -17,16 +28,18 @@ The search re-checks what it reads, so a stale or wrong row is weak, never
 wrong: certify derives a sound bound from any weights, and pruning checks
 every pair against the ball table.
 
-The search imports this module when it starts, not with the package, so
-that starting the CLI compiles neither it nor the rows.
+Only the search module imports this one, and neither the package nor the
+CLI imports the search when it starts, so a job other than search compiles
+neither this module nor the rows.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Mapping
 
 from . import _root_data
-from .words import Word, _ball_table, _frozen_table, _images
+from .words import _ball_table, _frozen_table, _images
 
 
 def encode(pairs: dict[int, int]) -> str:
@@ -43,6 +56,41 @@ def stored_weights(n: int, t: int) -> dict[int, int]:
     """The stored root LP weights of (n, t) inside the search caps, t < n,
     for any flags."""
     return decode(_root_data.DUALS[n, t])
+
+
+def certify(
+    graph, open_mask: int, weights: Mapping[int, int]
+) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    """Integer certificate from weights W_y over the open vertices.
+
+    Returns (c, containers): c is the least weight of any vertex ball, and
+    containers pairs, for each positive-weight y, the mask of vertex indices
+    whose balls hold y with the weight W_y (pairs with one mask merged).  A
+    code among the vertices of an open mask om has at most
+    sum(w for mask, w in containers if mask & om) // c words.  Words missing
+    from `weights`, or given a weight below 1, weigh nothing, so any mapping
+    gives a sound bound.  None when some vertex ball carries no weight, or
+    the open mask is empty: either proves nothing.
+    """
+    balls = _ball_table(graph.word_length, graph.t)
+    vertices = [
+        (i, w.bits) for i, w in enumerate(graph.vertices) if open_mask >> i & 1
+    ]
+    weight = {y: w for y, w in weights.items() if w > 0}
+    c = min(
+        (sum(weight.get(y, 0) for y in balls[x]) for _, x in vertices), default=0
+    )
+    if c <= 0:
+        return None
+    masks: dict[int, int] = {}
+    for i, x in vertices:
+        for y in balls[x]:
+            if y in weight:
+                masks[y] = masks.get(y, 0) | 1 << i
+    merged: dict[int, int] = {}
+    for y, mask in masks.items():
+        merged[mask] = merged.get(mask, 0) + weight[y]
+    return c, tuple(sorted(merged.items(), key=lambda p: -p[1]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,41 +120,3 @@ def pruning(n: int, t: int) -> dict[int, int]:
                 f"dropped word {u:0{n}b} with kept word {v:0{n}b}"
             )
     return pairs
-
-
-def basic_subordinates(n: int, t: int) -> dict[int, int]:
-    """For each dominant word, its smallest subordinate that is not
-    dominant, from the exhaustive pair scan."""
-    # imported here: a search reads the stored rows and never loads the scan
-    from .dominance import _dominant_pairs_packed
-
-    pairs = _dominant_pairs_packed(n, t)
-    dominant = {u for u, _ in pairs}
-    out: dict[int, int] = {}
-    for u, v in pairs:  # ascending in v
-        if v not in dominant:
-            out.setdefault(u, v)
-    return out
-
-
-def computed_rows(n: int, t: int) -> tuple[dict[int, int], dict[int, int]]:
-    """The root weights and pruning pairs of (n, t) from the live
-    computations: the rounded optimal duals at the root of the default
-    flags, with the two constant windows at their unit c (1 when that root
-    has no open word), and basic_subordinates."""
-    # imported here: the search imports this module, not the other way
-    # round, and runs neither the simplex nor the scan
-    from .bound import certify, integer_weights, optimal_duals
-    from .search import _root_state, build_conflict_graph
-
-    prune = basic_subordinates(n, t)
-    graph = build_conflict_graph(
-        [Word.from_bits(b, n) for b in range(1 << n) if b not in prune], t
-    )
-    open0, _ = _root_state(graph, True)
-    weights, unit = {}, 1
-    if open0:
-        weights = integer_weights(optimal_duals(graph, open0))
-        unit, _ = certify(graph, open0, weights)
-    weights[0] = weights[(1 << (n - t)) - 1] = unit
-    return weights, prune

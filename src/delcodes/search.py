@@ -4,7 +4,7 @@ Candidate words become vertices; two words conflict when their deletion
 balls intersect (equivalently, deletion distance at most t), so codes are
 exactly the independent sets.  Vertex sets are bitmasks over the candidate
 list.  Two bounds prune the search: the fractional container-clique cover
-of the root (see bound.py), which every node reuses on the words its open
+of the root (see rows.py), which every node reuses on the words its open
 vertices can still reach, and a greedy clique partition of the open
 vertices, which also orders the branching: one partition per node bounds
 every child (the colouring branch-and-bound of MCQ and BBMC, seen from the
@@ -25,8 +25,8 @@ import os
 import time
 from typing import NamedTuple
 
-from .bound import certify
 from .codes import Code, vt_code
+from .rows import certify, pruning, stored_weights
 from .words import BRUTE_FORCE_CAP, Word, _ball_packed, _ball_table, _images
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
@@ -132,10 +132,6 @@ def build_candidates(n: int, t: int, basic_only: bool) -> list[Word]:
     if basic_only:
         if t >= n:
             raise ValueError(f"no dominance pruning for t={t} at length {n}")
-        # imported on use, as in _root and _initial_incumbent: starting
-        # the CLI compiles neither the stored rows nor their checks
-        from .rows import pruning
-
         pruned = pruning(n, t)
         return [Word.from_bits(b, n) for b in range(1 << n) if b not in pruned]
     return [Word.from_bits(b, n) for b in range(1 << n)]
@@ -265,7 +261,7 @@ def _solve_stack(
     chosen, bound) on the stack, the last popped first.
 
     Branch-and-bound: a node is pruned by the container-clique certificate
-    `cliques` = (c, ((mask, weight), ...)) from bound.certify (no pruning
+    `cliques` = (c, ((mask, weight), ...)) from rows.certify (no pruning
     when it is None or holds no container), and otherwise split into its
     colour-ordered children (see _children), each stored with its bound and
     skipped when popped if that bound no longer beats the incumbent.  The
@@ -460,8 +456,6 @@ def _cpu_count() -> int:
 def _root(config: SearchConfig):
     """The root step of every search: the prepared graph and root state (see
     _prepare), the proved bound and the certificate (see _root_bound)."""
-    from .rows import stored_weights
-
     graph, open0, size0, chosen0 = _prepare(config)
     weights = stored_weights(config.n, config.t)
     return graph, open0, size0, chosen0, *_root_bound(graph, open0, size0, weights)
@@ -515,8 +509,6 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
             f"enumeration at n={config.n}, t={config.t} ran out of budget"
         )
 
-    from .rows import pruning
-
     n = config.n
     # the stored pruning pairs drop exactly the dominant words, as the tests
     # check against the pair scan at every stored (n, t)
@@ -539,8 +531,6 @@ def _initial_incumbent(
     pruned words traded for their stored subordinates; for more deletions,
     the min-degree greedy extension of the root state."""
     if graph.t == 1:
-        from .rows import pruning
-
         n = graph.word_length
         index = graph._index
         mask = 0

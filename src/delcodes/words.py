@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import gc
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 MAX_LEN = 62

@@ -372,6 +372,9 @@ class TestJsonDiscipline:
         assert a == b
 
 
+SEARCH_MODULES = {"words", "codes", "search", "rows", "_root_data"}
+
+
 class TestColdStart:
     """Each CLI job is a fresh interpreter, so what it imports is paid every time."""
 
@@ -393,6 +396,33 @@ class TestColdStart:
             *argv, "--json",
         )
         return set(ast.literal_eval(out.splitlines()[-1]))
+
+    # README's table in "Cold start and the pair tables", row by row
+    @pytest.mark.parametrize("argv,modules", [
+        (("ball", "0110", "--t", "1"), {"words"}),
+        (("dist", "0110", "1001"), {"words"}),
+        (("dominate", "0110", "0101", "--t", "1"), {"words", "dominance"}),
+        (("enumerate", "--n", "5", "--t", "1"), {"words", "dominance"}),
+        (("verify", "--n", "5", "--t", "1"), {"words", "dominance"}),
+        (("check", "CODE", "--t", "1"), {"words", "codes"}),
+        (("check", "CODE", "--t", "1", "--basic"), {"words", "codes", "dominance"}),
+        (("vt", "--n", "6", "--a", "0"), {"words", "codes"}),
+        *(
+            (("search", "--n", "7", "--t", "1", *mode), SEARCH_MODULES)
+            for mode in ((), ("--canonical",), ("--threads", "2"))
+        ),
+        (("search", "--n", "6", "--t", "2", "--enumerate"), SEARCH_MODULES),
+    ])
+    def test_each_job_loads_only_its_modules(self, tmp_path, argv, modules):
+        code = tmp_path / "example.code"
+        code.write_text("00000\n11111\n00011\n11000\n10101\n01110\n")
+        argv = [str(code) if a == "CODE" else a for a in argv]
+        loaded = self.modules_after(*argv)
+        # the row generator and its simplex live in tools/, which no job loads
+        assert "root_data" not in loaded
+        assert {m for m in loaded if m.split(".")[0] == "delcodes"} == {
+            "delcodes", "delcodes.cli", *(f"delcodes.{m}" for m in modules)
+        }
 
     @pytest.mark.parametrize("argv", [
         ("search", "--n", "7", "--t", "1"),

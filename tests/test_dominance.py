@@ -12,15 +12,12 @@ from delcodes import (
     DominancePair,
     Word,
     closed_form_generation,
-    complement,
     deletion_ball,
     dominators_of,
     enumerate_dominant_pairs,
     equivalence_closure,
     generate_closed_form,
     is_dominant,
-    reverse,
-    reverse_complement,
     subordinates_of,
     verify_characterization,
     weight,
@@ -158,7 +155,10 @@ class TestEnumeration:
         monkeypatch.setattr(dominance, "_ball_table", recorded)
         pairs = _dominant_pairs_packed.__wrapped__(n, t)
         monkeypatch.undo()
-        assert built and (n, t) not in built
+        if t == 1:
+            assert built == []
+        else:
+            assert built and (n, t) not in built
         assert pairs == _dominant_pairs_packed(n, t)
 
     @pytest.mark.parametrize("n, t, limit_mb", [(12, 2, 2), (12, 3, 8)])

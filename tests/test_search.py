@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_strings, ref_ball
+from root_data import basic_subordinates, computed_rows, integer_weights, optimal_duals
 
 from delcodes import (
     Code,
@@ -24,9 +25,9 @@ from delcodes import (
     vt_code,
     weight,
 )
-from delcodes import _root_data, bound, dominance, rows, search
-from delcodes.bound import certify, integer_weights, optimal_duals
+from delcodes import _root_data, dominance, rows, search
 from delcodes.dominance import _dominant_pairs_packed
+from delcodes.rows import certify
 from delcodes.search import (
     SEARCH_CAPS,
     _bits_of,
@@ -443,7 +444,7 @@ def fresh_pruning():
 
 
 def test_build_candidates_rejects_unsound_pruning(monkeypatch, fresh_pruning):
-    good = rows.basic_subordinates(7, 1)
+    good = basic_subordinates(7, 1)
     for change in (
         # 0000110 is kept, but its ball is not inside that of 0000101
         {0b0000101: 0b0000110},
@@ -464,7 +465,7 @@ def test_pruning_rows_match_the_pair_scan():
     keys = {(n, t) for t, cap in SEARCH_CAPS.items() for n in range(t + 1, cap + 1)}
     assert set(_root_data.PRUNE) == set(_root_data.DUALS) == keys
     for n, t in sorted(keys):
-        assert rows.decode(_root_data.PRUNE[n, t]) == rows.basic_subordinates(n, t)
+        assert rows.decode(_root_data.PRUNE[n, t]) == basic_subordinates(n, t)
         # the enumeration's class filter reads the dominant words from the row
         assert set(rows.pruning(n, t)) == {u for u, _ in _dominant_pairs_packed(n, t)}
 
@@ -473,7 +474,7 @@ def test_pruning_rows_match_the_pair_scan():
     (n, t) for t, cap in SEARCH_CAPS.items() for n in range(t + 1, min(cap, 10) + 1)
 ])
 def test_weight_rows_match_the_simplex(n, t):
-    weights, _ = rows.computed_rows(n, t)
+    weights, _ = computed_rows(n, t)
     assert rows.stored_weights(n, t) == weights
 
 
@@ -482,10 +483,9 @@ def test_search_reads_the_rows(monkeypatch, fresh_pruning):
     def never(*args):
         raise AssertionError("computed, not read from the rows")
 
-    for module in (search, rows, dominance, bound):
-        for name in ("optimal_duals", "_dominant_pairs_packed"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, never)
+    # no search loads tools/root_data.py, which holds the simplex
+    # (test_cli.py's TestColdStart pins each job's modules)
+    monkeypatch.setattr(dominance, "_dominant_pairs_packed", never)
     for flags in FLAGS:
         for t, cap in SEARCH_CAPS.items():
             for n in range(t + 1, cap + 1):
