@@ -3,13 +3,14 @@
 Every operation is scriptable with stable output; --json switches any
 subcommand to a canonical single-document JSON form.  Exit status: 0 ok,
 1 domain error, 2 usage error, 3 verification found discrepancies,
-4 time budget exhausted.
+4 time budget exhausted, 141 (128 + SIGPIPE) the reader closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 EXIT_OK = 0
@@ -17,6 +18,7 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_DISCREPANCY = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141
 
 
 def _load(*names: str) -> None:
@@ -47,7 +49,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the output fd goes to devnull, so the flush at exit writes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

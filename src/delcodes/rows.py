@@ -64,13 +64,13 @@ def certify(
     """Integer certificate from weights W_y over the open vertices.
 
     Returns (c, containers): c is the least weight of any vertex ball, and
-    containers pairs, for each positive-weight y, the mask of vertex indices
-    whose balls hold y with the weight W_y (pairs with one mask merged).  A
-    code among the vertices of an open mask om has at most
-    sum(w for mask, w in containers if mask & om) // c words.  Words missing
-    from `weights`, or given a weight below 1, weigh nothing, so any mapping
-    gives a sound bound.  None when some vertex ball carries no weight, or
-    the open mask is empty: either proves nothing.
+    containers pairs, for each positive-weight y that some vertex ball
+    holds, the mask of vertex indices whose balls hold y with the weight
+    W_y, heaviest first.  A code among the vertices of an open mask om has
+    at most sum(w for mask, w in containers if mask & om) // c words.
+    Words missing from `weights`, or given a weight below 1, weigh nothing,
+    so any mapping gives a sound bound.  None when some vertex ball carries
+    no weight, or the open mask is empty: either proves nothing.
     """
     balls = _ball_table(graph.word_length, graph.t)
     vertices = [
@@ -87,10 +87,8 @@ def certify(
         for y in balls[x]:
             if y in weight:
                 masks[y] = masks.get(y, 0) | 1 << i
-    merged: dict[int, int] = {}
-    for y, mask in masks.items():
-        merged[mask] = merged.get(mask, 0) + weight[y]
-    return c, tuple(sorted(merged.items(), key=lambda p: -p[1]))
+    containers = [(mask, weight[y]) for y, mask in masks.items()]
+    return c, tuple(sorted(containers, key=lambda p: -p[1]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -566,20 +566,15 @@ def _prepare(config: SearchConfig):
 
 def _root_state(graph: ConflictGraph, force_constants: bool) -> tuple[int, int]:
     """Open and chosen masks at the root: forcing takes the two constant
-    words and closes their conflicts."""
+    words, whose balls {0^(n-t)} and {1^(n-t)} are disjoint for t < n, and
+    closes their conflicts."""
     all_mask = (1 << len(graph)) - 1
     if not force_constants:
         return all_mask, 0
     n = graph.word_length
-    forced = 0
-    blocked = 0
-    for w in (Word.zeros(n), Word.ones(n)):
-        i = graph.index_of(w)
-        if forced & graph.adj[i]:
-            raise ValueError("forced vertices conflict with each other")
-        forced |= 1 << i
-        blocked |= graph.adj[i]
-    return all_mask & ~forced & ~blocked, forced
+    i, j = graph.index_of(Word.zeros(n)), graph.index_of(Word.ones(n))
+    forced = 1 << i | 1 << j
+    return all_mask & ~forced & ~graph.adj[i] & ~graph.adj[j], forced
 
 
 def _canonical_witness(

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 MAX_LEN = 62
 
 
+@functools.total_ordering
 class Word:
     """Immutable binary word of length 0..62, symbols indexed 1..n from the left."""
 
@@ -24,16 +25,11 @@ class Word:
     def __init__(self, symbols: str = "") -> None:
         if len(symbols) > MAX_LEN:
             raise ValueError(f"word longer than {MAX_LEN} symbols: {len(symbols)}")
-        bits = 0
         for c in symbols:
-            if c == "1":
-                bits = (bits << 1) | 1
-            elif c == "0":
-                bits = bits << 1
-            else:
+            if c not in "01":
                 raise ValueError(f"invalid symbol {c!r} in word {symbols!r}")
         self.n = len(symbols)
-        self.bits = bits
+        self.bits = int(symbols or "0", 2)
 
     @classmethod
     def from_bits(cls, bits: int, n: int) -> "Word":
@@ -91,21 +87,6 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         return (self.n, self.bits) < (other.n, other.bits)
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return (self.n, self.bits) <= (other.n, other.bits)
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return (self.n, self.bits) > (other.n, other.bits)
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return (self.n, self.bits) >= (other.n, other.bits)
 
 
 class WordSet:
@@ -204,7 +185,9 @@ def delete_at(w: Word, i: int) -> Word:
     """Remove the symbol at position i (1-based), preserving order."""
     if not 1 <= i <= w.n:
         raise ValueError(f"position {i} out of range 1..{w.n}")
-    return Word.from_bits(_delete_packed(w.bits, w.n, i), w.n - 1)
+    shift = w.n - i
+    bits = ((w.bits >> (shift + 1)) << shift) | (w.bits & ((1 << shift) - 1))
+    return Word.from_bits(bits, w.n - 1)
 
 
 def deletion_ball(w: Word, t: int) -> WordSet:
@@ -283,12 +266,6 @@ def run_length_encode(w: Word) -> list[tuple[int, int]]:
 # raw packed values and only materialize Word objects at their boundaries.
 
 
-def _delete_packed(bits: int, n: int, i: int) -> int:
-    """Drop the symbol at 1-based position i from an n-bit packed word."""
-    shift = n - i
-    return ((bits >> (shift + 1)) << shift) | (bits & ((1 << shift) - 1))
-
-
 def _lcs_packed(xb: int, xn: int, yb: int, yn: int) -> int:
     if xn > yn:
         xb, xn, yb, yn = yb, yn, xb, xn
@@ -325,10 +302,14 @@ def _orbit_leaders(n: int) -> Iterator[int]:
     ascending order.  A word starting with 1 has a smaller complement, and of
     its reversal and reverse complement the one starting with 0 is the
     smaller, so the leaders are the words v < 2**(n-1) that are at most
-    that one."""
+    that one.  For v < 2**(n-1) the reversal is the (n-1)-bit reversal of v
+    shifted up one bit; those reversals are built one bit at a time."""
     mask = (1 << n) - 1
-    for v in range(1 << (n - 1)):
-        r = _reverse_packed(v, n)
+    rev = [0]
+    for _ in range(n - 1):
+        rev = [r << 1 for r in rev] + [r << 1 | 1 for r in rev]
+    for v, r in enumerate(rev):
+        r <<= 1
         if v <= (r ^ mask if v & 1 else r):
             yield v
 
@@ -406,11 +387,10 @@ BRUTE_FORCE_CAP = 14
 @functools.lru_cache(maxsize=None)
 @_frozen_table
 def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
-    """Deletion balls of every length-n word, indexed by packed value."""
-    if t == 0:
-        return tuple(frozenset((b,)) for b in range(1 << n))
-    if t > n:
-        return (frozenset(),) * (1 << n)
+    """Deletion balls of every length-n word, indexed by packed value,
+    for 1 <= t <= n."""
+    if not 1 <= t <= n:
+        raise ValueError(f"ball table needs 1 <= t <= n, got n={n}, t={t}")
     # deleting bit s maps b = h*2**(s+1) + x*2**s + l to h*2**s + l, so over
     # b in order the images are the block h*2**s .. (h+1)*2**s - 1 twice per
     # h; read at t = 1 as the words, one shared int object each, and above

@@ -330,6 +330,19 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_closed_stdout_ends_as_sigpipe(self):
+        # about 85 KB of pairs, more than a pipe holds, so a write fails
+        # once the reader has closed its end, as under `| head -1`
+        with subprocess.Popen(
+            [sys.executable, "-m", "delcodes.cli", "enumerate", "--n", "24",
+             "--t", "2", "--method", "closed"],
+            env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            assert proc.stdout.readline().startswith("0" * 23 + "1 ")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == ""
+
 
 class TestJsonDiscipline:
     @pytest.mark.parametrize(

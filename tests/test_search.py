@@ -534,6 +534,30 @@ def test_any_weights_certify_a_sound_bound(nt, flags, data):
         assert size0 + sum(w for _, w in containers) // unit >= KNOWN_OPTIMA[t, n]
 
 
+@pytest.mark.parametrize("basic_only,force", FLAGS)
+def test_certify_keeps_one_container_per_weighted_word(basic_only, force):
+    # each positive-weight word some open ball holds is one container, and
+    # no two of them share a mask at any stored root
+    for t, cap in SEARCH_CAPS.items():
+        for n in range(t + 1, cap + 1):
+            graph, open0, _, _ = _prepare(SearchConfig(n, t, basic_only, force))
+            if not open0:
+                continue
+            weights = rows.stored_weights(n, t)
+            masks = {}
+            for i, w in enumerate(graph.vertices):
+                if open0 >> i & 1:
+                    for y in ref_ball(str(w), t):
+                        masks[int(y, 2)] = masks.get(int(y, 2), 0) | 1 << i
+            expected = [(m, weights[y]) for y, m in masks.items() if weights.get(y, 0) > 0]
+            assert len({m for m, _ in expected}) == len(expected), (n, t)
+            _, containers = certify(graph, open0, weights)
+            assert sorted(containers) == sorted(expected), (n, t)
+            assert [w for _, w in containers] == sorted(
+                (w for _, w in expected), reverse=True
+            )
+
+
 class TestRootBound:
     @pytest.mark.parametrize("basic_only,force", FLAGS)
     def test_certified_bound_covers_known_optimum(self, basic_only, force):

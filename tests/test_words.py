@@ -1,4 +1,5 @@
 import gc
+import operator
 import random
 
 import pytest
@@ -41,6 +42,12 @@ class TestWordBasics:
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValueError):
             Word("01a0")
+        with pytest.raises(ValueError, match=r"^invalid symbol 'a' in word '01a'$"):
+            Word("01a")
+        # int(s, 2) reads these, the word parser does not
+        for s in ("0_1", " 01", "01\n", "+1", "-1"):
+            with pytest.raises(ValueError, match="invalid symbol"):
+                Word(s)
 
     def test_rejects_overlong(self):
         Word("0" * MAX_LEN)
@@ -76,6 +83,19 @@ class TestWordBasics:
         assert Word("0100") == Word.from_bits(0b0100, 4)
         assert Word("100") != Word("0100")
         assert len({Word("01"), Word("01"), Word("10")}) == 2
+
+    def test_orderings_follow_length_then_packed_value(self):
+        words = [Word(s) for n in range(4) for s in all_strings(n)]
+        for u in words:
+            for v in words:
+                a, b = (u.n, u.bits), (v.n, v.bits)
+                assert (u < v, u <= v, u > v, u >= v) == (a < b, a <= b, a > b, a >= b)
+        for other in ("01", 1, None, (2, 1)):
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    op(Word("01"), other)
+                with pytest.raises(TypeError):
+                    op(other, Word("01"))
 
     def test_empty_word_is_valid(self):
         e = Word("")
@@ -214,8 +234,8 @@ class TestDeletionBall:
 
 class TestBallTables:
     def test_ball_table_matches_per_word_balls(self):
-        for n in range(11):
-            for t in range(min(3, n) + 1):
+        for n in range(1, 11):
+            for t in range(1, min(3, n) + 1):
                 table = _ball_table(n, t)
                 assert len(table) == 1 << n
                 for b in range(1 << n):
@@ -241,13 +261,10 @@ class TestBallTables:
         finally:
             (gc.enable if was else gc.disable)()
 
-    def test_ball_table_matches_per_word_balls_past_the_length(self):
-        # more deletions than symbols leave every ball empty; the column
-        # build has no column to read at n = 0
-        for n in range(4):
-            for t in range(4):
-                balls = tuple(_ball_packed(b, n, t) for b in range(1 << n))
-                assert _ball_table(n, t) == balls, (n, t)
+    def test_tables_need_one_to_n_deletions(self):
+        for n, t in ((5, 0), (0, 0), (3, 4), (0, 1), (-1, 1)):
+            with pytest.raises(ValueError, match="1 <= t <= n"):
+                _ball_table(n, t)
 
     def test_tables_at_the_length_cap_match_the_definitions(self):
         # the exhaustive checks above stop at n = 10: sample 64 words per
