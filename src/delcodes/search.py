@@ -99,7 +99,7 @@ class ConflictGraph:
 
     def __init__(self, t: int, vertices: tuple[Word, ...], adj: tuple[int, ...]):
         self.t = t
-        self.word_length = vertices[0].n if vertices else 0
+        self.word_length = vertices[0].n
         self.vertices = vertices
         self.adj = adj
         self._index = {w.bits: i for i, w in enumerate(vertices)}
@@ -204,8 +204,10 @@ def _children(
     v and keeps open only the vertices before v that v does not conflict
     with.  The children split the node's nonempty extensions: each one lands
     in the child of its last vertex.  A vertex in class k has bound size + k,
-    so the classes up to best_size - size give no child.  The last child
-    holds the most open vertices and pops first."""
+    so the classes up to best_size - size give no child, and none is skipped
+    at a node that collect mode (see _solve_stack) has just recorded, of
+    size best_size + 1.  The last child holds the most open vertices and
+    pops first."""
     classes = _clique_classes(om, adj)
     skip = max(best_size - size, 0)
     out = []
@@ -273,10 +275,12 @@ def _solve_stack(
 
     The same loop serves three modes.  Maximise: best_size is an incumbent
     and cap a proved bound.  Find a solution of size T: best_size T - 1 and
-    cap T.  Collect every solution of size T, the optimum: best_size T - 1
-    and a list `found`, to which each solution is appended once for every
-    subproblem that holds it; best_size then stays fixed.  The stack is
-    consumed.
+    cap T.  Collect every solution of size T, the optimum: best_size a floor
+    below T, cap a proved bound and a list `found`, to which each solution
+    one above the floor is appended once for every subproblem that holds
+    it; one two or more above empties `found` and lifts the floor to one
+    below its size.  A recorded node is expanded like any other, though at
+    the optimum it has no open vertex.  The stack is consumed.
 
     Any vertex labelling is correct; the order of the labels decides the
     partitions and so the size of the tree.
@@ -296,10 +300,13 @@ def _solve_stack(
             return best_size, best_chosen, nodes, False
         nodes += 1
         if size > best_size:
-            if found is not None:
+            if found is None:
+                best_size, best_chosen = size, chosen
+            else:
+                if size > best_size + 1:
+                    found.clear()
+                    best_size = size - 1
                 found.append(chosen)
-                continue
-            best_size, best_chosen = size, chosen
         if not om:
             continue
         if containers:
@@ -477,10 +484,10 @@ def _root_bound(
 def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     """All maximum codes that are basic, one canonical member per equivalence class.
 
-    One root step (see _root) serves two passes over the orbit roots: one
-    maximises from the initial incumbent, then one collects every solution
-    of the optimum's size from a fresh copy of the roots.  Both prune with
-    the one certificate and share one deadline, taken at entry."""
+    One root step (see _root) and one collect pass over the orbit roots
+    (see _solve_stack), from a floor one below the initial incumbent's
+    size: the pass lifts the floor itself when the optimum is larger.  It
+    prunes with the root certificate under one deadline, taken at entry."""
     config.validate()
     if config.n > ENUMERATION_CAP:
         raise ValueError(
@@ -489,20 +496,13 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     deadline = time.monotonic() + config.time_budget if config.time_budget else None
     graph, open0, size0, chosen0, upper, cliques = _root(config)
     adj = graph.adj
-    best_size, _ = _initial_incumbent(graph, open0, size0, chosen0)
+    seed, _ = _initial_incumbent(graph, open0, size0, chosen0)
     # one image of every optimum suffices: the classes are orbits, and the
     # dominant words are mapped onto themselves
     roots = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
-    optimum, _, _, exhausted = _solve_stack(
-        adj, list(roots), best_size, 0, deadline, upper, cliques
-    )
-    if not exhausted:
-        raise SearchBudgetExceeded(
-            f"optimum at n={config.n}, t={config.t} not settled within budget"
-        )
     found: list[int] = []
     *_, exhausted = _solve_stack(
-        adj, roots, optimum - 1, 0, deadline, optimum, cliques, found
+        adj, roots, seed - 1, 0, deadline, upper, cliques, found
     )
     if not exhausted:
         raise SearchBudgetExceeded(

@@ -1,4 +1,4 @@
-"""Every name that a module of the package or of tools/ imports is used."""
+"""Every name that a module of the package, of tools/ or of tests/ imports is used."""
 
 import ast
 from pathlib import Path
@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*ROOT.glob("src/delcodes/*.py"), *ROOT.glob("tools/*.py")])
+SOURCES = sorted(
+    path for d in ("src/delcodes", "tools", "tests") for path in ROOT.glob(f"{d}/*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,7 +27,8 @@ def unused_imports(source: str) -> list[str]:
 
 def test_sources_are_found():
     names = {path.name for path in SOURCES}
-    assert {"__init__.py", "search.py", "rows.py", "root_data.py"} <= names
+    expected = {"__init__.py", "search.py", "rows.py", "root_data.py", "conftest.py"}
+    assert expected <= names
 
 
 @pytest.mark.parametrize(

@@ -913,11 +913,25 @@ class TestEnumerateOptimal:
             calls.append(config)
             return prepare(config)
 
+        passes = []
+        solve = search._solve_stack
+
+        def solve_counted(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            passes.append(result[2])
+            return result
+
         monkeypatch.setattr(search, "max_code_size", refuse)
         monkeypatch.setattr(SearchConfig, "_replace", refuse)
         monkeypatch.setattr(search, "_prepare", counted)
+        monkeypatch.setattr(search, "_solve_stack", solve_counted)
         codes = enumerate_optimal_codes(SearchConfig(7, 1))
         assert len(codes) == 46 and calls == [SearchConfig(7, 1)]
+        # one collect pass, with its expanded nodes
+        assert passes == [5326]
+        passes.clear()
+        assert len(enumerate_optimal_codes(SearchConfig(6, 1))) == 3
+        assert passes == [63]
 
     @pytest.mark.parametrize("n,t", [(6, 1), (7, 1), (6, 2), (7, 2), (7, 3)])
     def test_certificate_keeps_every_collected_code(self, n, t):
@@ -938,6 +952,29 @@ class TestEnumerateOptimal:
             assert done
             gathered.append(sorted(found))
         assert gathered[0] == gathered[1]
+
+    @pytest.mark.parametrize("basic,force", FLAGS)
+    @pytest.mark.parametrize("n,t", [(6, 1), (7, 1), (6, 2), (7, 2), (7, 3)])
+    def test_collect_from_any_floor_below_the_optimum(self, n, t, basic, force):
+        # a code two or more above the floor lifts it, and a recorded node is
+        # expanded, so a floor that falls short gathers the same masks
+        graph, open0, size0, chosen0, upper, cliques = _root(
+            SearchConfig(n, t, basic_only=basic, force_constants=force)
+        )
+        roots = _orbit_roots(
+            graph.adj, open0, size0, chosen0, upper, _symmetry_perms(graph)
+        )
+        optimum = KNOWN_OPTIMA[t, n]
+        gathered = []
+        for floor in sorted({0, max(optimum - 2, 0), optimum - 1}):
+            found: list[int] = []
+            best, *_, done = _solve_stack(
+                graph.adj, list(roots), floor, 0, None, upper, cliques, found
+            )
+            assert done and best == optimum - 1, floor
+            gathered.append(sorted(found))
+        assert all(masks == gathered[-1] for masks in gathered)
+        assert {mask.bit_count() for mask in gathered[-1]} == {optimum}
 
     @pytest.mark.parametrize(
         "n,t", [(n, t) for t in SEARCH_CAPS for n in range(t + 1, 8)]
