@@ -9,6 +9,7 @@ subcommand to a canonical single-document JSON form.  Exit status: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -207,24 +208,23 @@ def _cmd_enumerate(args) -> int:
     _load("closed_form_generation", "enumerate_dominant_pairs")
     if args.method == "closed":
         gen = closed_form_generation(args.n, args.t)
-        rows = [(p.u, p.v, list(gen.provenance[p])) for p in gen.pairs]
+        rows = ((p.u, p.v, gen.provenance[p]) for p in gen.pairs)
     else:
         pairs = enumerate_dominant_pairs(args.n, args.t)
-        rows = [(p.u, p.v, ["brute"]) for p in pairs]
+        rows = ((p.u, p.v, ("brute",)) for p in pairs)
     if args.json:
-        print(
-            _dumps(
-                {
-                    "n": args.n,
-                    "t": args.t,
-                    "method": args.method,
-                    "pairs": [
-                        {"u": str(u), "v": str(v), "sources": tags}
-                        for u, v, tags in rows
-                    ],
-                }
+        # the _dumps document, written straight from the words in its key
+        # order: encoding it whole builds a dict and a list of chunks per pair
+        sources = functools.cache(lambda tags: _dumps(list(tags)))
+        write = sys.stdout.write
+        write(f'{{"method":{_dumps(args.method)},"n":{args.n},"pairs":[')
+        write(
+            ",".join(
+                f'{{"sources":{sources(tags)},"u":"{u}","v":"{v}"}}'
+                for u, v, tags in rows
             )
         )
+        write(f'],"t":{args.t}}}\n')
     else:
         for u, v, tags in rows:
             print(f"{u} {v} {','.join(tags)}")

@@ -75,18 +75,18 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     tail that s fixes, keeps the v whose middle windows are in B too, and
     compares balls only for those.  Each ball is the set of the one-deletion
     images at t = 1, and above it the union of their (n - 1, t - 1) balls;
-    only the candidates' balls are kept.  Complement and reversal map balls
-    to balls, so the least u of each orbit is scanned and each pair found
-    stands for its images under them.
+    only the candidates' balls are kept, each as a tuple.  Complement and
+    reversal map balls to balls, so the least u of each orbit is scanned
+    and each pair found stands for its images under them.
     """
     masks = _deletion_masks(n)
     # at t = 1 the (n - 1, 0) balls are singletons: no table to unite
     prev = _ball_table(n - 1, t - 1).__getitem__ if t > 1 else None
-    empty: frozenset[int] = frozenset()
+    union = set().union
 
-    def ball(b: int) -> frozenset[int]:
+    def ball(b: int) -> set[int]:
         images = {b & lo | (b >> 1) & hi for lo, hi in masks}
-        return empty.union(*map(prev, images)) if prev else frozenset(images)
+        return union(*map(prev, images)) if prev else images
 
     m = n - t
     low = (1 << m) - 1
@@ -96,7 +96,7 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     shared = low >> t
     ends = (1 << t) - 1
     fills = range(0, ends + 1, 1 << m)
-    balls: dict[int, frozenset[int]] = {}
+    balls: dict[int, tuple[int, ...]] = {}
     pairs: set[tuple[int, int]] = set()
     for u in _orbit_leaders(n):
         dom = ball(u)
@@ -116,8 +116,8 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
                 continue
             sub = balls.get(v)
             if sub is None:
-                sub = balls[v] = ball(v)
-            if sub <= dom:
+                sub = balls[v] = tuple(ball(v))
+            if dom.issuperset(sub):
                 pairs.update(zip(_images(u, n), _images(v, n)))
     return tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
 

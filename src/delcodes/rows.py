@@ -110,7 +110,7 @@ def pruning(n: int, t: int) -> dict[int, int]:
             and 0 <= v < len(balls)
             and u != v
             and v not in pairs
-            and balls[v] <= balls[u]
+            and set(balls[u]).issuperset(balls[v])
             and all(image in pairs for image in _images(u, n))
         ):
             raise ValueError(

@@ -335,9 +335,9 @@ def _frozen_table(fn):
     """Build a table with the cyclic collector paused, freeze it on success,
     then restore the collector's state.
 
-    The tables hold only ints in frozensets, tuples and dicts, which form no
-    cycles, and live as long as the process, yet every collection pass, up
-    to the one at interpreter exit, would walk their members.  `gc.freeze()`
+    The tables hold only ints in tuples and dicts, which form no cycles,
+    and live as long as the process, yet every collection pass, up to the
+    one at interpreter exit, would walk their members.  `gc.freeze()`
     moves them, and every other object tracked at that moment, to the
     permanent generation, which no pass walks.  So an object alive at a
     build that later becomes cyclic garbage is never collected."""
@@ -386,21 +386,20 @@ BRUTE_FORCE_CAP = 14
 
 @functools.lru_cache(maxsize=None)
 @_frozen_table
-def _ball_table(n: int, t: int) -> tuple[frozenset[int], ...]:
+def _ball_table(n: int, t: int) -> tuple[tuple[int, ...], ...]:
     """Deletion balls of every length-n word, indexed by packed value,
-    for 1 <= t <= n."""
+    for 1 <= t <= n; each ball a tuple of its distinct members."""
     if not 1 <= t <= n:
         raise ValueError(f"ball table needs 1 <= t <= n, got n={n}, t={t}")
     # deleting bit s maps b = h*2**(s+1) + x*2**s + l to h*2**s + l, so over
     # b in order the images are the block h*2**s .. (h+1)*2**s - 1 twice per
-    # h; read at t = 1 as the words, one shared int object each, and above
-    # as their (n - 1, t - 1) balls, which each row unites
-    images = list(range(1 << (n - 1))) if t == 1 else _ball_table(n - 1, t - 1)
-    # a row repeats an image wherever a run absorbs the deletion; as a set it
-    # also sizes a frozenset copied from it to its distinct members
-    rows = map(set, zip(*[_blocks(images, 1 << s, 2) for s in range(n)]))
+    # h.  Read as the words, one shared int object each, a row repeats an
+    # image wherever a run absorbs the deletion; a set keeps each image once
+    words = list(range(1 << (n - 1)))
+    rows = map(set, zip(*[_blocks(words, 1 << s, 2) for s in range(n)]))
     if t == 1:
-        return tuple(map(frozenset, rows))
-    empty: frozenset[int] = frozenset()
-    return tuple([empty.union(*row) for row in rows])
-
+        return tuple(map(tuple, rows))
+    # above t = 1 a ball is the union of its images' (n - 1, t - 1) balls
+    prev = _ball_table(n - 1, t - 1).__getitem__
+    union = set().union
+    return tuple([tuple(union(*map(prev, row))) for row in rows])

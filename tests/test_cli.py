@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import delcodes
-from delcodes import Code, cli, is_t_deletion_correcting, vt_code
+from delcodes import (
+    Code,
+    cli,
+    closed_form_generation,
+    enumerate_dominant_pairs,
+    is_t_deletion_correcting,
+    vt_code,
+)
 from delcodes.cli import main
 
 SRC = str(Path(delcodes.__file__).resolve().parent.parent)
@@ -126,6 +133,32 @@ class TestEnumerate:
     def test_cap_is_domain_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "15", "--t", "1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "n, t, method",
+        [(6, 1, "brute"), (12, 3, "brute"), (9, 2, "closed"), (24, 2, "closed")],
+    )
+    def test_json_is_the_dumps_of_the_pair_dicts(self, capsys, n, t, method):
+        # (9, 2) has pairs with several sources, and (24, 2) 85 KB of pairs
+        argv = ["enumerate", "--n", str(n), "--t", str(t), "--method", method]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        if method == "closed":
+            gen = closed_form_generation(n, t)
+            rows = [(p.u, p.v, list(gen.provenance[p])) for p in gen.pairs]
+        else:
+            rows = [(p.u, p.v, ["brute"]) for p in enumerate_dominant_pairs(n, t)]
+        if n == 9:
+            assert any(len(tags) > 1 for _, _, tags in rows)
+        doc = {
+            "n": n,
+            "t": t,
+            "method": method,
+            "pairs": [
+                {"u": str(u), "v": str(v), "sources": tags} for u, v, tags in rows
+            ],
+        }
+        assert out == cli._dumps(doc) + "\n"
 
 
 class TestVerify:

@@ -174,6 +174,18 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < limit_mb << 20, peak
 
+    def test_scan_keeps_each_ball_as_a_tuple(self):
+        # with every candidate's ball a frozenset, the (12, 3) scan peaked
+        # at 4.58 MB here
+        dominance._ball_table(11, 2)
+        tracemalloc.start()
+        try:
+            _dominant_pairs_packed.__wrapped__(12, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 19, peak
+
     def test_caps(self):
         with pytest.raises(ValueError):
             enumerate_dominant_pairs(1, 1)

@@ -1,6 +1,7 @@
 import gc
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -239,7 +240,19 @@ class TestBallTables:
                 table = _ball_table(n, t)
                 assert len(table) == 1 << n
                 for b in range(1 << n):
-                    assert table[b] == _ball_packed(b, n, t), (n, t, b)
+                    assert set(table[b]) == _ball_packed(b, n, t), (n, t, b)
+
+    def test_rows_are_tuples_of_distinct_ints(self):
+        for n, t in ((1, 1), (6, 1), (6, 2), (6, 3), (6, 6), (10, 2), (10, 3)):
+            for row in _ball_table(n, t):
+                assert type(row) is tuple and len(set(row)) == len(row), (n, t)
+                assert all(type(y) is int for y in row), (n, t)
+
+    def test_rows_take_a_few_ints_of_memory(self):
+        # as frozensets, one hash table each, the rows took 4.53 MB
+        table = _ball_table(13, 1)
+        size = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+        assert size < 1.5e6, size
 
     def test_builds_pause_the_collector_and_restore_it(self):
         assert _frozen_table(gc.isenabled)() is False
@@ -274,7 +287,7 @@ class TestBallTables:
             # uncached at t = 2, so that the test process does not keep it
             balls = _ball_table(n, 1) if t == 1 else _ball_table.__wrapped__(n, 2)
             for b in rng.sample(range(1 << n), 64):
-                assert balls[b] == _ball_packed(b, n, t), (t, b)
+                assert set(balls[b]) == _ball_packed(b, n, t), (t, b)
 
 
 class TestOrbitLeaders:
