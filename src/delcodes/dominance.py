@@ -22,7 +22,6 @@ from .words import (
     _deletion_masks,
     _frozen_table,
     _images,
-    _lcs_packed,
     _orbit_leaders,
 )
 
@@ -55,9 +54,6 @@ def is_dominant(u: Word, v: Word, t: int) -> bool:
     if not 1 <= t <= u.n:
         raise ValueError(f"deletion count {t} out of range 1..{u.n}")
     if u.bits == v.bits:
-        return False
-    # containment forces intersecting balls, i.e. deletion distance at most t
-    if u.n - _lcs_packed(u.bits, u.n, v.bits, v.n) > t:
         return False
     return _ball_packed(v.bits, v.n, t) <= _ball_packed(u.bits, u.n, t)
 

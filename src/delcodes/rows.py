@@ -39,7 +39,7 @@ import functools
 from typing import Mapping
 
 from . import _root_data
-from .words import _ball_table, _frozen_table, _images
+from .words import _ball_table, _images
 
 
 def encode(pairs: dict[int, int]) -> str:
@@ -92,7 +92,6 @@ def certify(
 
 
 @functools.lru_cache(maxsize=None)
-@_frozen_table
 def pruning(n: int, t: int) -> dict[int, int]:
     """The words the search drops, each mapped to a kept word whose ball
     lies inside its own: the stored PRUNE row of (n, t), 1 <= t < n.

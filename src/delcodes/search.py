@@ -473,12 +473,12 @@ def _root_bound(
 ) -> tuple[int, tuple[int, tuple[tuple[int, int], ...]] | None]:
     """Proved upper bound on the optimum, and the node certificate for
     _solve_stack, from the integer LP weights given: None when they prove
-    nothing, as at a root with no open vertex."""
-    upper = size0 + len(_clique_classes(open0, graph.adj))
+    nothing, as at a root with no open vertex, and then the bound counts
+    every open vertex."""
     cliques = certify(graph, open0, weights)
-    if cliques:
-        upper = min(upper, size0 + sum(w for _, w in cliques[1]) // cliques[0])
-    return upper, cliques
+    if cliques is None:
+        return size0 + open0.bit_count(), None
+    return size0 + sum(w for _, w in cliques[1]) // cliques[0], cliques
 
 
 def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:

@@ -335,7 +335,7 @@ def _frozen_table(fn):
     """Build a table with the cyclic collector paused, freeze it on success,
     then restore the collector's state.
 
-    The tables hold only ints in tuples and dicts, which form no cycles,
+    The tables hold only ints in tuples, which form no cycles,
     and live as long as the process, yet every collection pass, up to the
     one at interpreter exit, would walk their members.  `gc.freeze()`
     moves them, and every other object tracked at that moment, to the

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_ball, ref_dominant_pairs, word_pairs_st
+from conftest import ref_ball, ref_dominant_pairs, ref_lcs, word_pairs_st
 
 from delcodes import (
     DominancePair,
@@ -54,6 +54,20 @@ PAIR_TABLE_SHA256 = {
 }
 
 
+@st.composite
+def far_pairs_st(draw):
+    """(u, v, t): two words of one length, at most 16, whose deletion
+    distance n - LCS exceeds t, for t = 1..3."""
+    t = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=2 * t + 2, max_value=16))
+    words = st.integers(min_value=0, max_value=(1 << n) - 1).map(
+        lambda b: f"{b:0{n}b}"
+    )
+    u = draw(words)
+    v = draw(words.filter(lambda s: n - ref_lcs(u, s) > t))
+    return Word(u), Word(v), t
+
+
 def pair_strings(pairs):
     return {(str(p.u), str(p.v)) for p in pairs}
 
@@ -74,15 +88,21 @@ class TestIsDominant:
         with pytest.raises(ValueError):
             is_dominant(Word("01"), Word("10"), 3)
 
-    @given(word_pairs_st(max_len=7), st.integers(min_value=1, max_value=3))
+    @given(word_pairs_st(max_len=16), st.integers(min_value=1, max_value=3))
     def test_matches_definition(self, pair, t):
         u, v = pair
         if t > len(u):
             return
-        expected = u != v and set(deletion_ball(v, t).strings()) <= set(
-            deletion_ball(u, t).strings()
-        )
+        expected = u != v and ref_ball(str(v), t) <= ref_ball(str(u), t)
         assert is_dominant(u, v, t) == expected
+
+    @given(far_pairs_st())
+    def test_pairs_beyond_t_deletions_are_never_dominant(self, far):
+        # words more than t deletions apart share no subsequence of length
+        # n - t, so their balls are disjoint and neither holds the other
+        u, v, t = far
+        assert not ref_ball(str(u), t) & ref_ball(str(v), t)
+        assert not is_dominant(u, v, t) and not is_dominant(v, u, t)
 
     def test_checked_constructor(self):
         DominancePair.checked(Word("1011"), Word("0111"), 1)

@@ -572,6 +572,23 @@ class TestRootBound:
         assert size0 + len(_clique_classes(open0, graph.adj)) == 46
         assert _root_bound(graph, open0, size0, rows.stored_weights(8, 1))[0] == 30
 
+    @pytest.mark.parametrize("basic_only,force", FLAGS)
+    def test_stored_certificate_never_loses_to_the_greedy_cover(
+        self, basic_only, force
+    ):
+        # the root bound is the certificate alone: at every stored root it
+        # is no looser than the cover, and where certify proves nothing no
+        # vertex is open
+        for n, t in sorted(_root_data.DUALS):
+            graph, open0, size0, _ = _prepare(SearchConfig(n, t, basic_only, force))
+            upper, cliques = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
+            if cliques is None:
+                assert open0 == 0 and upper == size0, (n, t)
+            else:
+                unit, containers = cliques
+                assert upper == size0 + sum(w for _, w in containers) // unit
+            assert upper <= size0 + len(_clique_classes(open0, graph.adj)), (n, t)
+
     @pytest.mark.parametrize("n,t", [(7, 1), (8, 1), (9, 2), (10, 3)])
     def test_every_simplex_iterate_certifies(self, n, t):
         # the optimal duals, rounded, certify the known optimum
