@@ -179,11 +179,15 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
-    _load("Word", "is_dominant", "deletion_ball")
+    _load("Word", "deletion_ball")
+    from .dominance import _check_pair
+
     u, v = Word(args.u), Word(args.v)
-    dom = is_dominant(u, v, args.t)
-    ball_u = len(deletion_ball(u, args.t))
-    ball_v = len(deletion_ball(v, args.t))
+    _check_pair(u, v, args.t)
+    # the balls whose sizes are reported decide dominance: is_dominant
+    # would build both again
+    ball_u, ball_v = deletion_ball(u, args.t), deletion_ball(v, args.t)
+    dom = u != v and ball_v <= ball_u
     if args.json:
         print(
             _dumps(
@@ -192,13 +196,13 @@ def _cmd_dominate(args) -> int:
                     "v": str(v),
                     "t": args.t,
                     "dominant": dom,
-                    "ball_u": ball_u,
-                    "ball_v": ball_v,
+                    "ball_u": len(ball_u),
+                    "ball_v": len(ball_v),
                 }
             )
         )
     elif dom:
-        print(f"yes |D_{args.t}(v)|={ball_v} <= |D_{args.t}(u)|={ball_u}")
+        print(f"yes |D_{args.t}(v)|={len(ball_v)} <= |D_{args.t}(u)|={len(ball_u)}")
     else:
         print("no")
     return EXIT_OK
@@ -218,12 +222,10 @@ def _cmd_enumerate(args) -> int:
         sources = functools.cache(lambda tags: _dumps(list(tags)))
         write = sys.stdout.write
         write(f'{{"method":{_dumps(args.method)},"n":{args.n},"pairs":[')
-        write(
-            ",".join(
-                f'{{"sources":{sources(tags)},"u":"{u}","v":"{v}"}}'
-                for u, v, tags in rows
-            )
-        )
+        sep = ""
+        for u, v, tags in rows:
+            write(f'{sep}{{"sources":{sources(tags)},"u":"{u}","v":"{v}"}}')
+            sep = ","
         write(f'],"t":{args.t}}}\n')
     else:
         for u, v, tags in rows:

@@ -49,13 +49,17 @@ class DominancePair(NamedTuple):
 
 def is_dominant(u: Word, v: Word, t: int) -> bool:
     """True iff u != v and the t-deletion ball of v sits inside that of u."""
+    _check_pair(u, v, t)
+    if u.bits == v.bits:
+        return False
+    return _ball_packed(v.bits, v.n, t) <= _ball_packed(u.bits, u.n, t)
+
+
+def _check_pair(u: Word, v: Word, t: int) -> None:
     if u.n != v.n:
         raise ValueError(f"length mismatch: {u.n} != {v.n}")
     if not 1 <= t <= u.n:
         raise ValueError(f"deletion count {t} out of range 1..{u.n}")
-    if u.bits == v.bits:
-        return False
-    return _ball_packed(v.bits, v.n, t) <= _ball_packed(u.bits, u.n, t)
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,21 +72,28 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     of them.  The scan starts from u: it joins the prefix windows p = v >> t
     in B with the suffix windows s = v & low in B on the n - 2t bits the two
     share (none when n <= 2t), which gives v = p << t | tail for every t-bit
-    tail that s fixes, keeps the v whose middle windows are in B too, and
-    compares balls only for those.  Each ball is the set of the one-deletion
-    images at t = 1, and above it the union of their (n - 1, t - 1) balls;
-    only the candidates' balls are kept, each as a tuple.  Complement and
-    reversal map balls to balls, so the least u of each orbit is scanned
-    and each pair found stands for its images under them.
+    tail that s fixes, and keeps the v whose middle windows are in B too.
+    The ball of v is the set of its one-deletion images at t = 1, and above
+    it the union of their (n - 1, t - 1) balls, so v is dominated when B
+    holds each image's ball; the test stops at the first that B does not
+    hold, and no ball of v is built or kept.
+
+    A candidate v of a weight other than u's is skipped when v has at least
+    t zeros and at least t ones: deleting t zeros of v leaves a word of
+    weight w(v) that B must hold, so w(v) <= w(u), and deleting t ones
+    leaves one of weight w(v) - t >= w(u) - t, so w(v) >= w(u).
+
+    Complement and reversal map balls to balls, so the least u of each
+    orbit is scanned and each pair found stands for its images under them;
+    a pair is packed as v << n | u, so the sorted ints are in (v, u) order.
     """
     masks = _deletion_masks(n)
     # at t = 1 the (n - 1, 0) balls are singletons: no table to unite
     prev = _ball_table(n - 1, t - 1).__getitem__ if t > 1 else None
     union = set().union
 
-    def ball(b: int) -> set[int]:
-        images = {b & lo | (b >> 1) & hi for lo, hi in masks}
-        return union(*map(prev, images)) if prev else images
+    def images(b: int) -> set[int]:
+        return {b & lo | (b >> 1) & hi for lo, hi in masks}
 
     m = n - t
     low = (1 << m) - 1
@@ -92,10 +103,12 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     shared = low >> t
     ends = (1 << t) - 1
     fills = range(0, ends + 1, 1 << m)
-    balls: dict[int, tuple[int, ...]] = {}
-    pairs: set[tuple[int, int]] = set()
+    pairs: set[int] = set()
     for u in _orbit_leaders(n):
-        dom = ball(u)
+        dom = images(u)
+        if prev:
+            dom = union(*map(prev, dom))
+        weight = u.bit_count()
         tails: dict[int, list[int]] = {}
         for s in dom:
             tails.setdefault(s >> t, []).append(s & ends)
@@ -108,14 +121,20 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
         for k in range(1, t):
             cands = [v for v in cands if v >> k & low in dom]
         for v in cands:
-            if v == u:
+            w = v.bit_count()
+            if v == u or w != weight and t <= w <= m:
                 continue
-            sub = balls.get(v)
-            if sub is None:
-                sub = balls[v] = tuple(ball(v))
-            if dom.issuperset(sub):
-                pairs.update(zip(_images(u, n), _images(v, n)))
-    return tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
+            if prev:
+                if not all(map(dom.issuperset, map(prev, images(v)))):
+                    continue
+            elif not dom.issuperset(images(v)):
+                continue
+            pairs.update(b << n | a for a, b in zip(_images(u, n), _images(v, n)))
+    word = (1 << n) - 1
+    packed = sorted(pairs)
+    # the scan peaks while the table is built: the set is not needed there
+    del pairs
+    return tuple((p & word, p >> n) for p in packed)
 
 
 def enumerate_dominant_pairs(n: int, t: int) -> list[DominancePair]:

@@ -16,6 +16,7 @@ from delcodes import (
     is_t_deletion_correcting,
     vt_code,
 )
+from delcodes import dominance, words
 from delcodes.cli import main
 
 SRC = str(Path(delcodes.__file__).resolve().parent.parent)
@@ -103,6 +104,25 @@ class TestDominate:
         doc = json.loads(out)
         assert doc["dominant"] is True
         assert doc["ball_v"] <= doc["ball_u"]
+
+    @pytest.mark.parametrize("u, v, t", [
+        ("1011", "0111", 1), ("0111", "1011", 1), ("0110", "0110", 2),
+        ("01" * 8, "0011" * 4, 3),
+    ])
+    def test_builds_each_ball_once(self, capsys, monkeypatch, u, v, t):
+        built = []
+        ball = words._ball_packed
+
+        def recorded(*args):
+            built.append(args)
+            return ball(*args)
+
+        # is_dominant looks the builder up in the dominance module
+        monkeypatch.setattr(words, "_ball_packed", recorded)
+        monkeypatch.setattr(dominance, "_ball_packed", recorded)
+        code, _, _ = run(capsys, "dominate", u, v, "--t", str(t), "--json")
+        assert code == 0
+        assert sorted(built) == sorted([(int(u, 2), len(u), t), (int(v, 2), len(v), t)])
 
 
 class TestEnumerate:

@@ -195,8 +195,9 @@ class TestEnumeration:
         assert peak < limit_mb << 20, peak
 
     def test_scan_keeps_each_ball_as_a_tuple(self):
-        # with every candidate's ball a frozenset, the (12, 3) scan peaked
-        # at 4.58 MB here
+        # the scan keeps no candidate's ball: it peaks at about 0.63 MB here,
+        # and a cache of every candidate's ball took it to 1.5 MB as tuples
+        # and to 4.58 MB as frozensets
         dominance._ball_table(11, 2)
         tracemalloc.start()
         try:
@@ -204,7 +205,7 @@ class TestEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 << 19, peak
+        assert peak < 1 << 20, peak
 
     def test_caps(self):
         with pytest.raises(ValueError):
@@ -387,6 +388,22 @@ class TestStructuralProperties:
                         witnessed = True
                         assert ref_ball(u, t) == ref_ball(v, t)
         assert witnessed  # (01, 10) at n=2 among others
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_dominance_keeps_the_weight_of_a_v_with_t_zeros_and_t_ones(self, t):
+        # deleting t zeros of v leaves a word of weight w(v) that u's ball
+        # must hold, so w(v) <= w(u); deleting t ones leaves weight
+        # w(v) - t >= w(u) - t: the pair scan skips the v this rules out
+        kept = moved = 0
+        for n in range(t + 1, 9):
+            for u, v in ref_dominant_pairs(n, t):
+                if t <= v.count("1") <= n - t:
+                    assert u.count("1") == v.count("1"), (u, v)
+                    kept += 1
+                else:
+                    moved += u.count("1") != v.count("1")
+        # both cases occur: the all-zero v is dominated by the weight-1 words
+        assert kept and moved
 
     def test_unique_single_deletion_forces_constant(self):
         # if every single deletion of x gives the same y, x (hence y) is constant
