@@ -180,7 +180,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_dominate(args) -> int:
     _load("Word", "deletion_ball")
-    from .dominance import _check_pair
+    from .words import _check_pair
 
     u, v = Word(args.u), Word(args.v)
     _check_pair(u, v, args.t)

@@ -19,6 +19,7 @@ from .words import (
     WordSet,
     _ball_packed,
     _ball_table,
+    _check_pair,
     _deletion_masks,
     _frozen_table,
     _images,
@@ -53,13 +54,6 @@ def is_dominant(u: Word, v: Word, t: int) -> bool:
     if u.bits == v.bits:
         return False
     return _ball_packed(v.bits, v.n, t) <= _ball_packed(u.bits, u.n, t)
-
-
-def _check_pair(u: Word, v: Word, t: int) -> None:
-    if u.n != v.n:
-        raise ValueError(f"length mismatch: {u.n} != {v.n}")
-    if not 1 <= t <= u.n:
-        raise ValueError(f"deletion count {t} out of range 1..{u.n}")
 
 
 @functools.lru_cache(maxsize=None)

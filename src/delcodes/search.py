@@ -176,51 +176,37 @@ def _graph_on(verts: tuple[Word, ...], t: int) -> ConflictGraph:
 # --- bitmask independent-set core -----------------------------------------
 
 
-def _clique_classes(open_mask: int, adj: tuple[int, ...]) -> list[int]:
-    """Greedy partition of the open vertices into cliques, one class at a
-    time: a class takes the lowest open vertex left, then keeps taking the
-    lowest one adjacent to all it holds.  No independent set inside the open
-    vertices has more members than there are classes."""
-    classes = []
-    rem = open_mask
-    while rem:
-        cls = 0
-        r = rem
-        while r:
-            low = r & -r
-            cls |= low
-            r &= adj[low.bit_length() - 1]
-        rem ^= cls
-        classes.append(cls)
-    return classes
-
-
 def _children(
     adj: tuple[int, ...], om: int, size: int, chosen: int, best_size: int
 ) -> list[tuple[int, int, int, int]]:
     """Colour-ordered children (open mask, size, chosen, bound) of a node.
 
-    Walking the clique partition class by class, the child of vertex v takes
-    v and keeps open only the vertices before v that v does not conflict
-    with.  The children split the node's nonempty extensions: each one lands
-    in the child of its last vertex.  A vertex in class k has bound size + k,
-    so the classes up to best_size - size give no child, and none is skipped
-    at a node that collect mode (see _solve_stack) has just recorded, of
-    size best_size + 1.  The last child holds the most open vertices and
-    pops first."""
-    classes = _clique_classes(om, adj)
-    skip = max(best_size - size, 0)
+    One pass splits the open vertices into cliques, one class at a time: a
+    class takes the lowest open vertex left, then keeps taking the lowest
+    one adjacent to all it holds.  An independent set meets each class at
+    most once, so an extension whose last vertex lies in class k has at most
+    size + k members: that is the bound of class k.  A class whose bound
+    does not beat best_size gives no child.  Every other class gives, as it
+    is built, one child per vertex v, which takes v and keeps open only the
+    vertices walked before v that v does not conflict with.  So each
+    extension that can beat best_size lands in exactly one child, that of
+    its last vertex.  At a node that collect mode (see _solve_stack) has
+    just recorded, of size best_size + 1, every class gives children.  The
+    last child holds the most open vertices and pops first."""
     out = []
     earlier = 0
-    for cls in classes[:skip]:
-        earlier |= cls
-    for bound, cls in enumerate(classes[skip:], size + skip + 1):
-        while cls:
-            low = cls & -cls
-            cls ^= low
-            sub = earlier & ~adj[low.bit_length() - 1]
-            out.append((sub, size + 1, chosen | low, bound))
+    bound = size
+    while om:
+        bound += 1
+        r = om
+        while r:
+            low = r & -r
+            v = low.bit_length() - 1
+            if bound > best_size:
+                out.append((earlier & ~adj[v], size + 1, chosen | low, bound))
             earlier |= low
+            r &= adj[v]
+        om &= ~earlier
     return out
 
 

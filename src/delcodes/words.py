@@ -197,6 +197,13 @@ def deletion_ball(w: Word, t: int) -> WordSet:
     return WordSet._from_packed(w.n - t, _ball_packed(w.bits, w.n, t))
 
 
+def _check_pair(u: Word, v: Word, t: int) -> None:
+    if u.n != v.n:
+        raise ValueError(f"length mismatch: {u.n} != {v.n}")
+    if not 1 <= t <= u.n:
+        raise ValueError(f"deletion count {t} out of range 1..{u.n}")
+
+
 def is_subsequence(x: Word, y: Word) -> bool:
     """True iff x can be obtained from y by deletions (greedy left-to-right match)."""
     if x.n > y.n:

@@ -467,7 +467,7 @@ class TestColdStart:
     @pytest.mark.parametrize("argv,modules", [
         (("ball", "0110", "--t", "1"), {"words"}),
         (("dist", "0110", "1001"), {"words"}),
-        (("dominate", "0110", "0101", "--t", "1"), {"words", "dominance"}),
+        (("dominate", "0110", "0101", "--t", "1"), {"words"}),
         (("enumerate", "--n", "5", "--t", "1"), {"words", "dominance"}),
         (("verify", "--n", "5", "--t", "1"), {"words", "dominance"}),
         (("check", "CODE", "--t", "1"), {"words", "codes"}),

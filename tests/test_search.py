@@ -32,7 +32,7 @@ from delcodes.search import (
     SEARCH_CAPS,
     _bits_of,
     _canonical_witness,
-    _clique_classes,
+    _children,
     _greedy_independent,
     _initial_incumbent,
     _orbit_roots,
@@ -569,7 +569,7 @@ class TestRootBound:
 
     def test_lp_settles_where_the_greedy_cover_does_not(self):
         graph, open0, size0, _ = _prepare(SearchConfig(8, 1))
-        assert size0 + len(_clique_classes(open0, graph.adj)) == 46
+        assert size0 + len(_clique_partition(open0, graph.adj)) == 46
         assert _root_bound(graph, open0, size0, rows.stored_weights(8, 1))[0] == 30
 
     @pytest.mark.parametrize("basic_only,force", FLAGS)
@@ -587,7 +587,7 @@ class TestRootBound:
             else:
                 unit, containers = cliques
                 assert upper == size0 + sum(w for _, w in containers) // unit
-            assert upper <= size0 + len(_clique_classes(open0, graph.adj)), (n, t)
+            assert upper <= size0 + len(_clique_partition(open0, graph.adj)), (n, t)
 
     @pytest.mark.parametrize("n,t", [(7, 1), (8, 1), (9, 2), (10, 3)])
     def test_every_simplex_iterate_certifies(self, n, t):
@@ -713,6 +713,44 @@ def _graphs(draw, max_vertices=12):
     return tuple(adj)
 
 
+def _clique_partition(open_mask: int, adj: tuple[int, ...]) -> list[int]:
+    """Greedy partition of the open vertices into cliques, built whole: a
+    class takes the lowest open vertex left, then keeps taking the lowest
+    one adjacent to all it holds."""
+    classes = []
+    rem = open_mask
+    while rem:
+        cls = 0
+        r = rem
+        while r:
+            low = r & -r
+            cls |= low
+            r &= adj[low.bit_length() - 1]
+        rem ^= cls
+        classes.append(cls)
+    return classes
+
+
+def _reference_children(adj, om, size, chosen, best_size):
+    """_children in two steps: the whole partition first, then a walk that
+    skips the max(best_size - size, 0) classes whose bound cannot beat
+    best_size."""
+    classes = _clique_partition(om, adj)
+    skip = max(best_size - size, 0)
+    out = []
+    earlier = 0
+    for cls in classes[:skip]:
+        earlier |= cls
+    for bound, cls in enumerate(classes[skip:], size + skip + 1):
+        while cls:
+            low = cls & -cls
+            cls ^= low
+            sub = earlier & ~adj[low.bit_length() - 1]
+            out.append((sub, size + 1, chosen | low, bound))
+            earlier |= low
+    return out
+
+
 class TestBranchAndBound:
     @settings(deadline=None, max_examples=150)
     @given(_graphs())
@@ -747,6 +785,20 @@ class TestBranchAndBound:
         assert sorted(found) == [
             m for m in independent if m.bit_count() == optimum
         ]
+
+    @settings(deadline=None, max_examples=200)
+    @given(_graphs(max_vertices=24), st.data())
+    def test_children_match_the_two_step_construction(self, adj, data):
+        v = len(adj)
+        om = data.draw(st.integers(0, (1 << v) - 1))
+        size = data.draw(st.integers(0, 5))
+        chosen = data.draw(st.integers(0, (1 << v) - 1)) & ~om
+        classes = len(_clique_partition(om, adj))
+        # from a recorded collect node (best_size below size) to a node with
+        # no child (best_size at or above size + classes)
+        for best_size in range(size - 2, size + classes + 2):
+            node = (adj, om, size, chosen, best_size)
+            assert _children(*node) == _reference_children(*node), best_size
 
     def test_node_counts(self):
         # expanded pops: 2 394 and 465 from the orbit roots in degree order;
