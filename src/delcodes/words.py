@@ -409,4 +409,5 @@ def _ball_table(n: int, t: int) -> tuple[tuple[int, ...], ...]:
     # above t = 1 a ball is the union of its images' (n - 1, t - 1) balls
     prev = _ball_table(n - 1, t - 1).__getitem__
     union = set().union
-    return tuple([tuple(union(*map(prev, row))) for row in rows])
+    # a list: unpacking a bare map leaves tuples on the free lists
+    return tuple([tuple(union(*list(map(prev, row)))) for row in rows])

@@ -536,6 +536,26 @@ class TestColdStart:
         )
         assert out.split() == ["1024", "0"]
 
+    def test_unions_leave_no_tuples_on_the_free_lists(self):
+        # unpacking a bare map into set().union left about 400 KB of
+        # argument tuples on the free lists after the (14, 2) scan and
+        # 450 KB after the (12, 3) table; through a list, 32 and 134 KB
+        out = self.python(
+            "-c",
+            "import tracemalloc\n"
+            "from delcodes.dominance import _dominant_pairs_packed\n"
+            "from delcodes.words import _ball_table\n"
+            "_ball_table(13, 1)\n"
+            "_ball_table(11, 2)\n"
+            "tracemalloc.start()\n"
+            "_dominant_pairs_packed.__wrapped__(14, 2)\n"
+            "scan = tracemalloc.get_traced_memory()[0]\n"
+            "_ball_table.__wrapped__(12, 3)\n"
+            "print(scan, tracemalloc.get_traced_memory()[0] - scan)",
+        )
+        scan, table = map(int, out.split())
+        assert scan < 128 << 10 and table < 256 << 10, out
+
 
 class TestLibraryNames:
     """The handlers call the library names bound on the cli module, so a

@@ -36,6 +36,7 @@ BRUTE_COUNTS_T3 = {4: 210, 5: 550, 6: 984}
 # sha256 of repr(_dominant_pairs_packed(n, t)): the pairs and their order
 PAIR_TABLE_SHA256 = {
     (9, 1): "fd0a65738874b598ed125474826212b56c20e7ccd73a26ba8b741b721e57f351",
+    (10, 1): "7ff0e622b1ec6cfb41c08f1bdc5d4a11915d4e814850a4978f45f23aeaaab9e4",
     (11, 1): "1168644e7a005a7f1914ee8d2f17d33b950a4fd555dd90c42d2dbde4fb241258",
     (12, 1): "e157df96634129e5da5a6f5e3d9715aa77648bb2bc08171435944f879cd1c7a7",
     (10, 2): "28d0b311c9369fb25f03b68ecb4ed0eeede9732aad864d6fe5baedac7291c54b",
@@ -404,6 +405,20 @@ class TestStructuralProperties:
                     moved += u.count("1") != v.count("1")
         # both cases occur: the all-zero v is dominated by the weight-1 words
         assert kept and moved
+
+    def test_single_deletion_dominance_keeps_to_four_runs(self):
+        # a one-deletion ball holds one word per run and two distinct words
+        # share at most two (Levenshtein 1966), so v has at most two runs
+        # and u, an image of v with one symbol inserted, at most four: the
+        # pair scan skips every other leader at t = 1
+        def runs(s):
+            return 1 + sum(a != b for a, b in zip(s, s[1:]))
+
+        counts = [
+            (runs(u), runs(v)) for n in range(2, 9) for u, v in ref_dominant_pairs(n, 1)
+        ]
+        # both bounds hold, and both are met
+        assert [max(c) for c in zip(*counts)] == [4, 2]
 
     def test_unique_single_deletion_forces_constant(self):
         # if every single deletion of x gives the same y, x (hence y) is constant
