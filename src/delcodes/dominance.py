@@ -63,14 +63,16 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
 
     Each length-(n - t) window of v, `v >> k & low` for k = 0..t, is v after
     t deletions, so a word u dominates v only if its ball B holds all t + 1
-    of them.  The scan starts from u: it joins the prefix windows p = v >> t
-    in B with the suffix windows s = v & low in B on the n - 2t bits the two
-    share (none when n <= 2t), which gives v = p << t | tail for every t-bit
-    tail that s fixes, and keeps the v whose middle windows are in B too.
-    The ball of v is the set of its one-deletion images at t = 1, and above
-    it the union of their (n - 1, t - 1) balls, so v is dominated when B
-    holds each image's ball; the test stops at the first that B does not
-    hold, and no ball of v is built or kept.
+    of them.  The scan starts from u and walks the candidates from the
+    prefix windows p = v >> t in B: it keeps each p whose last n - 2t bits
+    start some window of B, the bits p shares with the suffix window v & low
+    (none when n <= 2t), then extends the survivors one symbol at a time, t
+    times, keeping x only while its newest window x & low is in B.  What is
+    left are the v whose t + 1 windows all lie in B.  The ball of v is the
+    union of the (n - 1, t - 1) balls of its one-deletion images, which at
+    t = 1 are the singletons, so v is dominated when B holds each image's
+    ball; the test stops at the first that B does not hold, and no ball of
+    v is built or kept.
 
     At t = 1 only the leaders u of at most four runs are scanned
     (Levenshtein 1966): a ball holds one image per run of its word, and two
@@ -91,8 +93,8 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     a pair is packed as v << n | u, so the sorted ints are in (v, u) order.
     """
     masks = _deletion_masks(n)
-    # at t = 1 the (n - 1, 0) balls are singletons: no table to unite
-    prev = _ball_table(n - 1, t - 1).__getitem__ if t > 1 else None
+    # the (n - 1, 0) balls are singletons, made on the fly: no table at t = 1
+    prev = _ball_table(n - 1, t - 1).__getitem__ if t > 1 else lambda y: (y,)
     union = set().union
 
     def images(b: int) -> set[int]:
@@ -100,12 +102,7 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
 
     m = n - t
     low = (1 << m) - 1
-    # the suffix's bits above its t-bit tail are the prefix's lowest ones;
-    # when the windows do not meet (m < t), the tail's bits above the suffix
-    # are free, and each fill sets them
     shared = low >> t
-    ends = (1 << t) - 1
-    fills = range(0, ends + 1, 1 << m)
     word = (1 << n) - 1
     pairs: set[int] = set()
     for u in _orbit_leaders(n):
@@ -113,32 +110,21 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
         # run more than it has adjacent bits that differ
         if t == 1 and ((u ^ u >> 1) & word >> 1).bit_count() > 3:
             continue
-        dom = images(u)
-        if prev:
-            # a list: unpacking a bare map leaves tuples on the free lists
-            dom = union(*list(map(prev, dom)))
+        # a list: unpacking a bare map leaves tuples on the free lists
+        dom = union(*list(map(prev, images(u))))
         weight = u.bit_count()
-        tails: dict[int, list[int]] = {}
-        for s in dom:
-            tails.setdefault(s >> t, []).append(s & ends)
-        cands = [
-            p << t | tail | f
-            for p in dom
-            for tail in tails.get(p & shared, ())
-            for f in fills
-        ]
-        for k in range(1, t):
-            cands = [v for v in cands if v >> k & low in dom]
+        # the prefix windows whose last n - 2t bits start a window of B,
+        # extended t times by one symbol while the newest window is in B
+        starts = {s >> t for s in dom}
+        cands = [p for p in dom if p & shared in starts]
+        for _ in range(t):
+            cands = [x for p in cands for x in (p << 1, p << 1 | 1) if x & low in dom]
         for v in cands:
             w = v.bit_count()
             if v == u or w != weight and t <= w <= m:
                 continue
-            if prev:
-                if not all(map(dom.issuperset, map(prev, images(v)))):
-                    continue
-            elif not dom.issuperset(images(v)):
-                continue
-            pairs.update(b << n | a for a, b in zip(_images(u, n), _images(v, n)))
+            if all(map(dom.issuperset, map(prev, images(v)))):
+                pairs.update(b << n | a for a, b in zip(_images(u, n), _images(v, n)))
     packed = sorted(pairs)
     # the scan peaks while the table is built: the set is not needed there
     del pairs

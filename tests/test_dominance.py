@@ -153,11 +153,22 @@ class TestEnumeration:
     def test_matches_string_oracle_beyond_the_sampled_lengths(self, n, t):
         assert pair_strings(enumerate_dominant_pairs(n, t)) == ref_dominant_pairs(n, t)
 
-    # the two end windows do not overlap (n < 2t) or meet on no bits
-    # (n = 2t), and at n = t the whole word is one window
+    # the prefix window shares no bits with the suffix window (n <= 2t), so
+    # the scan keeps every prefix window of the ball and only its one-symbol
+    # extensions filter; at n = t each window is the empty word
     @pytest.mark.parametrize("n, t", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (5, 3), (6, 3)])
     def test_matches_string_oracle_where_the_end_windows_do_not_overlap(self, n, t):
         assert pair_strings(enumerate_dominant_pairs(n, t)) == ref_dominant_pairs(n, t)
+
+    # `check --basic` and the dominator queries scan at any t <= n, past the
+    # t <= 3 that `enumerate` serves; at t = n every window is empty
+    @pytest.mark.parametrize("n, t", [(n, t) for n in range(4, 9) for t in range(4, n + 1)])
+    def test_scan_matches_string_oracle_above_three_deletions(self, n, t):
+        pairs = {
+            (str(Word.from_bits(u, n)), str(Word.from_bits(v, n)))
+            for u, v in _dominant_pairs_packed(n, t)
+        }
+        assert pairs == ref_dominant_pairs(n, t)
 
     @pytest.mark.parametrize("n, t", sorted(PAIR_TABLE_SHA256))
     def test_pair_table_pinned(self, n, t):
