@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import gc
-from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator
 
 MAX_LEN = 62
 
@@ -339,8 +339,7 @@ def _deletion_masks(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _frozen_table(fn):
-    """Build a table with the cyclic collector paused, freeze it on success,
-    then restore the collector's state.
+    """Build a table and freeze it with `gc.freeze()`.
 
     The tables hold only ints in tuples, which form no cycles,
     and live as long as the process, yet every collection pass, up to the
@@ -351,39 +350,11 @@ def _frozen_table(fn):
 
     @functools.wraps(fn)
     def frozen(*args):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            table = fn(*args)
-            gc.freeze()
-            return table
-        finally:
-            if enabled:
-                gc.enable()
+        table = fn(*args)
+        gc.freeze()
+        return table
 
     return frozen
-
-
-def _blocks(images: Sequence, size: int, times: int):
-    """The slices images[a:a + size] for a = 0, size, 2 * size, ... below
-    len(images), each `times` times, end to end: one column of a table's
-    one-step level, in the order of the words whose images they are, read
-    lazily in C and holding the objects of `images` themselves."""
-    if size <= 8:
-        # short blocks, where a range per block would cost more than its
-        # images: read them as `size` strided streams side by side
-        streams = [
-            islice(images, i, None, size)
-            for _ in range(times)
-            for i in range(size)
-        ]
-        return chain.from_iterable(zip(*streams))
-    # long blocks: index them, since a list per block would hold up to a
-    # whole column at once
-    starts = range(0, len(images), size)
-    stops = range(size, len(images) + size, size)
-    starts, stops = (chain.from_iterable(zip(*[r] * times)) for r in (starts, stops))
-    return map(images.__getitem__, chain.from_iterable(map(range, starts, stops)))
 
 
 # longest word length whose ball table (all 2**n balls) is built: the pair
@@ -400,10 +371,17 @@ def _ball_table(n: int, t: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"ball table needs 1 <= t <= n, got n={n}, t={t}")
     # deleting bit s maps b = h*2**(s+1) + x*2**s + l to h*2**s + l, so over
     # b in order the images are the block h*2**s .. (h+1)*2**s - 1 twice per
-    # h.  Read as the words, one shared int object each, a row repeats an
+    # h: column s is every block of 2**s consecutive words, each twice.
+    # Read as the words, one shared int object each, a row repeats an
     # image wherever a run absorbs the deletion; a set keeps each image once
     words = list(range(1 << (n - 1)))
-    rows = map(set, zip(*[_blocks(words, 1 << s, 2) for s in range(n)]))
+    columns = [
+        chain.from_iterable(
+            b for b in zip(*[iter(words)] * (1 << s)) for _ in (0, 1)
+        )
+        for s in range(n)
+    ]
+    rows = map(set, zip(*columns))
     if t == 1:
         return tuple(map(tuple, rows))
     # above t = 1 a ball is the union of its images' (n - 1, t - 1) balls

@@ -29,7 +29,7 @@ from delcodes import (
 from delcodes.words import (
     _ball_packed,
     _ball_table,
-    _frozen_table,
+    _deletion_masks,
     _images,
     _orbit_leaders,
 )
@@ -254,8 +254,25 @@ class TestBallTables:
         size = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
         assert size < 1.5e6, size
 
-    def test_builds_pause_the_collector_and_restore_it(self):
-        assert _frozen_table(gc.isenabled)() is False
+    def test_rows_list_the_images_in_deletion_bit_order(self):
+        # row order is certify's tie order, and so decides how soon its
+        # container loop stops: a set fed the images bit s = 0..n - 1
+        for n in range(1, 14):
+            masks = _deletion_masks(n)
+            ref = []
+            for b in range(1 << n):
+                row = set()
+                for lo, hi in masks:
+                    row.add(b & lo | (b >> 1) & hi)
+                ref.append(tuple(row))
+            assert _ball_table(n, 1) == tuple(ref), n
+
+    def test_rows_share_one_int_object_per_word(self):
+        # one int per (n - 1)-bit word keeps the (13, 1) rows near 0.8 MB
+        table = _ball_table(13, 1)
+        assert len({id(y) for row in table for y in row}) <= 1 << 12
+
+    def test_builds_freeze_their_tables(self):
         was = gc.isenabled()
         try:
             for state in (True, False):
