@@ -66,8 +66,9 @@ def certify(
     Returns (c, containers): c is the least weight of any vertex ball, and
     containers pairs, for each positive-weight y that some vertex ball
     holds, the mask of vertex indices whose balls hold y with the weight
-    W_y, heaviest first.  A code among the vertices of an open mask om has
-    at most sum(w for mask, w in containers if mask & om) // c words.
+    W_y, in the order the vertices first reach them.  A code among the
+    vertices of an open mask om has at most
+    sum(w for mask, w in containers if mask & om) // c words.
     Words missing from `weights`, or given a weight below 1, weigh nothing,
     so any mapping gives a sound bound.  None when some vertex ball carries
     no weight, or the open mask is empty: either proves nothing.
@@ -87,8 +88,7 @@ def certify(
         for y in balls[x]:
             if y in weight:
                 masks[y] = masks.get(y, 0) | 1 << i
-    containers = [(mask, weight[y]) for y, mask in masks.items()]
-    return c, tuple(sorted(containers, key=lambda p: -p[1]))
+    return c, tuple((mask, weight[y]) for y, mask in masks.items())
 
 
 @functools.lru_cache(maxsize=None)

@@ -210,30 +210,6 @@ def _children(
     return out
 
 
-def _greedy_independent(
-    open_mask: int, adj: tuple[int, ...], rank: list[int]
-) -> tuple[int, int]:
-    """Deterministic min-degree greedy, ties to the least rank; returns
-    (size, chosen_mask)."""
-    size = 0
-    chosen = 0
-    while open_mask:
-        best_v = -1
-        best_deg = best_rank = 0
-        rem = open_mask
-        while rem:
-            low = rem & -rem
-            v = low.bit_length() - 1
-            rem ^= low
-            deg = (adj[v] & open_mask).bit_count()
-            if best_v < 0 or deg < best_deg or deg == best_deg and rank[v] < best_rank:
-                best_v, best_deg, best_rank = v, deg, rank[v]
-        chosen |= 1 << best_v
-        size += 1
-        open_mask &= ~(adj[best_v] | (1 << best_v))
-    return size, chosen
-
-
 def _solve_stack(
     adj: tuple[int, ...],
     stack: list[tuple[int, int, int, int]],
@@ -383,9 +359,9 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     deadline = start + config.time_budget if config.time_budget else None
     graph, open0, size0, chosen0, upper, cliques = _root(config)
     adj = graph.adj
-    best_size, best_chosen = _initial_incumbent(graph, open0, size0, chosen0)
     # some image of every code under the symmetries lies in the roots
     stack = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
+    best_size, best_chosen = _initial_incumbent(graph, stack)
     procs = min(config.workers, _cpu_count())
     # with several processes, a serial prefix first: a small tree ends in it
     # and starts no pool; the prefix leaves at least one subproblem on the
@@ -482,10 +458,10 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     deadline = time.monotonic() + config.time_budget if config.time_budget else None
     graph, open0, size0, chosen0, upper, cliques = _root(config)
     adj = graph.adj
-    seed, _ = _initial_incumbent(graph, open0, size0, chosen0)
     # one image of every optimum suffices: the classes are orbits, and the
     # dominant words are mapped onto themselves
     roots = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
+    seed, _ = _initial_incumbent(graph, roots)
     found: list[int] = []
     *_, exhausted = _solve_stack(
         adj, roots, seed - 1, 0, deadline, upper, cliques, found
@@ -510,12 +486,14 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
 
 
 def _initial_incumbent(
-    graph: ConflictGraph, open0: int, size0: int, chosen0: int
+    graph: ConflictGraph, roots: list[tuple[int, int, int, int]]
 ) -> tuple[int, int]:
-    """Deterministic starting solution.  For single deletions it is the
-    checksum code VT_0, the largest residue class (Ginzburg 1967), its
-    pruned words traded for their stored subordinates; for more deletions,
-    the min-degree greedy extension of the root state."""
+    """Deterministic starting solution (size, chosen mask).  For single
+    deletions it is the checksum code VT_0, the largest residue class
+    (Ginzburg 1967), its pruned words traded for their stored subordinates;
+    for more deletions, the largest dive from the orbit roots `roots` (see
+    _orbit_roots), the earliest in the list on ties.  A dive keeps taking
+    the lowest open label and closing its conflicts."""
     if graph.t == 1:
         n = graph.word_length
         index = graph._index
@@ -527,9 +505,16 @@ def _initial_incumbent(
                 bits = pruning(n, 1)[bits]
             mask |= 1 << index[bits]
         return mask.bit_count(), mask
-    rank = [w.bits for w in graph.vertices]
-    size, chosen = _greedy_independent(open0, graph.adj, rank)
-    return size + size0, chosen | chosen0
+    best = 0, 0
+    for om, size, chosen, _ in roots:
+        while om:
+            low = om & -om
+            size += 1
+            chosen |= low
+            om &= ~graph.adj[low.bit_length() - 1] & ~low
+        if size > best[0]:
+            best = size, chosen
+    return best
 
 
 def _prepare(config: SearchConfig):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import random
 import time
 
 import pytest
@@ -33,7 +34,6 @@ from delcodes.search import (
     _bits_of,
     _canonical_witness,
     _children,
-    _greedy_independent,
     _initial_incumbent,
     _orbit_roots,
     _prepare,
@@ -57,6 +57,12 @@ KNOWN_OPTIMA = {
     **{(3, n): v for n, v in {4: 2, 5: 2, 6: 2, 7: 2, 8: 4, 9: 5, 10: 6}.items()},
 }
 FLAGS = [(b, f) for b in (True, False) for f in (True, False)]
+# (t, n) -> the size of the min-degree greedy seed that the orbit-root dives
+# replaced, under every flag pair
+GREEDY_SEEDS = {
+    **{(2, n): v for n, v in {3: 2, 4: 2, 5: 2, 6: 4, 7: 5, 8: 7, 9: 10, 10: 15}.items()},
+    **{(3, n): v for n, v in {4: 2, 5: 2, 6: 2, 7: 2, 8: 4, 9: 5, 10: 6}.items()},
+}
 SMALLEST_MAX_CODE_5_1 = ("00000", "00011", "01101", "10010", "11100", "11111")
 CANONICAL_8_2 = [
     "00000000", "00000111", "00101010", "01111100", "10110011", "11100000",
@@ -295,29 +301,24 @@ class TestMaxCodeSize:
     def test_checksum_seed_keeps_pruned_codewords(self):
         # pruned codewords are swapped for candidate subordinates, not dropped
         for n, size in {7: 16, 9: 52, 10: 94, 11: 172, 12: 316}.items():
-            graph, open0, size0, chosen0 = _prepare(SearchConfig(n, 1))
-            seed, mask = _initial_incumbent(graph, open0, size0, chosen0)
+            (seed, mask), (graph, *_) = _seed(SearchConfig(n, 1))
             code = Code([w for i, w in enumerate(graph.vertices) if mask >> i & 1])
             assert seed == len(code) == size
             assert is_t_deletion_correcting(code, 1)
 
     def test_t1_seed_is_vt0_alone(self, monkeypatch):
-        # one checksum class and no greedy, under every flag pair
+        # one checksum class, under every flag pair
         residues = []
 
         def vt_spy(n, a):
             residues.append(a)
             return vt_code(n, a)
 
-        def no_greedy(*args):
-            raise AssertionError("the greedy ran at t = 1")
-
         monkeypatch.setattr(search, "vt_code", vt_spy)
-        monkeypatch.setattr(search, "_greedy_independent", no_greedy)
         lengths = range(2, SEARCH_CAPS[1] + 1)
         for flags in FLAGS:
             for n in lengths:
-                _initial_incumbent(*_prepare(SearchConfig(n, 1, *flags)))
+                _seed(SearchConfig(n, 1, *flags))
         assert residues == [0] * (len(FLAGS) * len(lengths))
 
     @pytest.mark.parametrize("basic_only,force", FLAGS)
@@ -325,12 +326,25 @@ class TestMaxCodeSize:
         # the greedy and the other residues never beat VT_0: they tie with
         # it below n = 7, and from there on VT_0 alone is the largest
         for n in range(2, 11):
-            root = _prepare(SearchConfig(n, 1, basic_only, force))
-            seed = _initial_incumbent(*root)
+            seed, root = _seed(SearchConfig(n, 1, basic_only, force))
             old = _greedy_then_best_residue(*root)
             assert seed[0] == old[0], n
             if n >= 7:
                 assert seed == old, n
+
+    @pytest.mark.parametrize("basic_only,force", FLAGS)
+    def test_dive_seeds_are_pinned(self, basic_only, force):
+        # the orbit-root dives reach the min-degree greedy's sizes at t >= 2,
+        # but for 14 against 15 at t=2 n=10 with both flags off
+        for t in (2, 3):
+            for n in range(t + 1, SEARCH_CAPS[t] + 1):
+                (seed, mask), (graph, *_) = _seed(SearchConfig(n, t, basic_only, force))
+                if (n, t, basic_only, force) == (10, 2, False, False):
+                    assert seed == GREEDY_SEEDS[t, n] - 1 == 14
+                else:
+                    assert seed == GREEDY_SEEDS[t, n], (n, t)
+                code = Code([graph.vertices[i] for i in _bits_of(mask)])
+                assert len(code) == seed and is_t_deletion_correcting(code, t)
 
     def test_two_workers_settle_t1_n7(self):
         r = max_code_size(SearchConfig(7, 1, workers=2))
@@ -403,10 +417,42 @@ class TestMaxCodeSize:
                 SearchConfig(9, 1, time_budget=budget).validate()
 
 
+def _seed(config):
+    """The search's starting solution (size, mask), from the orbit roots as
+    the search builds them, and its prepared root (graph, open0, size0,
+    chosen0)."""
+    graph, open0, size0, chosen0, upper, _ = _root(config)
+    roots = _orbit_roots(graph.adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
+    return _initial_incumbent(graph, roots), (graph, open0, size0, chosen0)
+
+
+def _greedy_independent(open_mask, adj, rank):
+    """The historical t >= 2 seed: min-degree greedy over the open vertices,
+    ties to the least rank; returns (size, chosen_mask)."""
+    size = 0
+    chosen = 0
+    while open_mask:
+        best_v = -1
+        best_deg = best_rank = 0
+        rem = open_mask
+        while rem:
+            low = rem & -rem
+            v = low.bit_length() - 1
+            rem ^= low
+            deg = (adj[v] & open_mask).bit_count()
+            if best_v < 0 or deg < best_deg or deg == best_deg and rank[v] < best_rank:
+                best_v, best_deg, best_rank = v, deg, rank[v]
+        chosen |= 1 << best_v
+        size += 1
+        open_mask &= ~(adj[best_v] | (1 << best_v))
+    return size, chosen
+
+
 def _greedy_then_best_residue(graph, open0, size0, chosen0):
     """The t = 1 seed before it was VT_0 alone: the min-degree greedy
-    extension of the root, replaced by any checksum class that is strictly
-    larger, its pruned words traded for their subordinates."""
+    extension of the root, ties to the least packed value, replaced by any
+    checksum class that is strictly larger, its pruned words traded for
+    their subordinates."""
     rank = [w.bits for w in graph.vertices]
     size, chosen = _greedy_independent(open0, graph.adj, rank)
     best_size, best_chosen = size + size0, chosen | chosen0
@@ -553,9 +599,31 @@ def test_certify_keeps_one_container_per_weighted_word(basic_only, force):
             assert len({m for m, _ in expected}) == len(expected), (n, t)
             _, containers = certify(graph, open0, weights)
             assert sorted(containers) == sorted(expected), (n, t)
-            assert [w for _, w in containers] == sorted(
-                (w for _, w in expected), reverse=True
+
+
+@pytest.mark.parametrize("n,t", [(7, 1), (9, 2)])
+def test_certificate_order_leaves_the_tree_unchanged(n, t):
+    # the node test stops at the first container that settles it, and every
+    # weight is positive, so whether it prunes does not depend on the order
+    graph, open0, size0, chosen0, upper, (unit, containers) = _root(SearchConfig(n, t))
+    perms = _symmetry_perms(graph)
+    shuffled = list(containers)
+    random.Random(n * 10 + t).shuffle(shuffled)
+    # maximise from the forced words alone; collect from one below the optimum
+    modes = [(size0, None)]
+    if (n, t) == (7, 1):
+        modes.append((KNOWN_OPTIMA[t, n] - 1, []))
+    for floor, found in modes:
+        runs = []
+        for order in (containers, containers[::-1], tuple(shuffled)):
+            roots = _orbit_roots(graph.adj, open0, size0, chosen0, upper, perms)
+            kept = None if found is None else []
+            best, _, nodes, done = _solve_stack(
+                graph.adj, roots, floor, chosen0, None, upper, (unit, order), kept
             )
+            runs.append((best, nodes, done, kept and sorted(kept)))
+        assert runs[0][2] and runs[0][0] == KNOWN_OPTIMA[t, n] - (found is not None)
+        assert runs[1] == runs[0] and runs[2] == runs[0], (n, t, floor)
 
 
 class TestRootBound:
@@ -645,16 +713,24 @@ class TestSearchOrder:
         keys = [((a & open0).bit_count(), b) for a, b in zip(graph.adj, words)]
         assert keys == sorted(keys)
 
-    def test_seed_ties_follow_packed_values(self):
-        # with ties broken by label the t=2 n=10 greedy seed is 14
-        graph, open0, size0, chosen0 = _prepare(SearchConfig(10, 2))
-        seed, mask = _initial_incumbent(graph, open0, size0, chosen0)
-        packed = build_conflict_graph(build_candidates(10, 2, True), 2)
-        packed_open, forced = _root_state(packed, True)
-        rank = [w.bits for w in packed.vertices]
-        size, chosen = _greedy_independent(packed_open, packed.adj, rank)
-        assert seed == size + 2 == 15
-        assert _words(graph, mask) == _words(packed, chosen | forced)
+    def test_seed_is_the_first_largest_dive(self):
+        # a dive from an orbit root keeps taking its lowest open label; the
+        # t=2 n=10 seed is the first of the largest dives, at 15 words
+        graph, open0, size0, chosen0, upper, _ = _root(SearchConfig(10, 2))
+        roots = _orbit_roots(
+            graph.adj, open0, size0, chosen0, upper, _symmetry_perms(graph)
+        )
+        dives = []
+        for om, size, chosen, _ in roots:
+            for v in range(len(graph)):
+                if om >> v & 1:
+                    size, chosen, om = size + 1, chosen | 1 << v, om & ~graph.adj[v]
+            dives.append((size, chosen))
+        largest = max(size for size, _ in dives)
+        assert _initial_incumbent(graph, roots) == next(
+            d for d in dives if d[0] == largest
+        )
+        assert largest == 15
 
     def test_root_bound_does_not_follow_the_labels(self):
         # the stored weights are keyed by word, not by label
