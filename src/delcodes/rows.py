@@ -28,9 +28,9 @@ The search re-checks what it reads, so a stale or wrong row is weak, never
 wrong: certify derives a sound bound from any weights, and pruning checks
 every pair against the ball table.
 
-Only the search module imports this one, and neither the package nor the
-CLI imports the search when it starts, so a job other than search compiles
-neither this module nor the rows.
+The search module and tools/root_data.py import this one.  Neither the
+package nor the CLI imports the search when it starts, so a job other than
+search compiles neither this module nor the rows.
 """
 
 from __future__ import annotations
@@ -63,32 +63,29 @@ def certify(
 ) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     """Integer certificate from weights W_y over the open vertices.
 
-    Returns (c, containers): c is the least weight of any vertex ball, and
-    containers pairs, for each positive-weight y that some vertex ball
-    holds, the mask of vertex indices whose balls hold y with the weight
-    W_y, in the order the vertices first reach them.  A code among the
-    vertices of an open mask om has at most
-    sum(w for mask, w in containers if mask & om) // c words.
-    Words missing from `weights`, or given a weight below 1, weigh nothing,
-    so any mapping gives a sound bound.  None when some vertex ball carries
-    no weight, or the open mask is empty: either proves nothing.
+    Returns (c, containers): c is the least weight of any open vertex ball,
+    and containers pairs, for each positive-weight window y of
+    graph.windows that meets the open set, its mask of open vertices with
+    the weight W_y, in graph.windows order.  A code among the vertices of
+    an open mask om has at most sum(w for mask, w in containers if mask &
+    om) // c words.  Every weight is positive, so whether that sum beats a
+    bound does not depend on the order.  Words missing from `weights`, or
+    given a weight below 1, weigh nothing, so any mapping gives a sound
+    bound.  None when some open vertex ball carries no weight, or the open
+    mask is empty: either proves nothing.
     """
     balls = _ball_table(graph.word_length, graph.t)
-    vertices = [
-        (i, w.bits) for i, w in enumerate(graph.vertices) if open_mask >> i & 1
-    ]
     weight = {y: w for y, w in weights.items() if w > 0}
-    c = min(
-        (sum(weight.get(y, 0) for y in balls[x]) for _, x in vertices), default=0
-    )
+    verts = graph.vertices
+    open_balls = [balls[v.bits] for i, v in enumerate(verts) if open_mask >> i & 1]
+    c = min((sum(weight.get(y, 0) for y in ball) for ball in open_balls), default=0)
     if c <= 0:
         return None
-    masks: dict[int, int] = {}
-    for i, x in vertices:
-        for y in balls[x]:
-            if y in weight:
-                masks[y] = masks.get(y, 0) | 1 << i
-    return c, tuple((mask, weight[y]) for y, mask in masks.items())
+    return c, tuple(
+        (mask & open_mask, weight[y])
+        for y, mask in graph.windows.items()
+        if y in weight and mask & open_mask
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -93,15 +93,19 @@ class SearchResult(NamedTuple):
 
 
 class ConflictGraph:
-    """Undirected graph on candidate words; edge iff deletion balls intersect."""
+    """Undirected graph on candidate words; edge iff deletion balls intersect.
+    `windows` maps each word of length n - t in a ball to its holders' mask."""
 
-    __slots__ = ("t", "word_length", "vertices", "adj", "_index")
+    __slots__ = ("t", "word_length", "vertices", "adj", "windows", "_index")
 
-    def __init__(self, t: int, vertices: tuple[Word, ...], adj: tuple[int, ...]):
+    def __init__(
+        self, t: int, vertices: tuple[Word, ...], adj: tuple[int, ...], windows: dict
+    ):
         self.t = t
         self.word_length = vertices[0].n
         self.vertices = vertices
         self.adj = adj
+        self.windows = windows
         self._index = {w.bits: i for i, w in enumerate(vertices)}
 
     def index_of(self, w: Word) -> int:
@@ -154,23 +158,19 @@ def _graph_on(verts: tuple[Word, ...], t: int) -> ConflictGraph:
     """Graph over distinct words of one length, vertex i being verts[i]."""
     n = verts[0].n
     # a table holds the balls of all 2**n words: too many beyond the scan cap
-    balls = _ball_table(n, t) if n <= BRUTE_FORCE_CAP else None
-    sharers: dict[int, list[int]] = {}
-    for i, w in enumerate(verts):
-        for member in balls[w.bits] if balls else _ball_packed(w.bits, n, t):
-            sharers.setdefault(member, []).append(i)
-    adj = [0] * len(verts)
-    for idxs in sharers.values():
-        if len(idxs) < 2:
-            continue
+    table = _ball_table(n, t) if n <= BRUTE_FORCE_CAP else None
+    balls = [table[w.bits] if table else _ball_packed(w.bits, n, t) for w in verts]
+    windows: dict[int, int] = {}
+    for i, ball in enumerate(balls):
+        for y in ball:
+            windows[y] = windows.get(y, 0) | 1 << i
+    adj = []
+    for i, ball in enumerate(balls):
         mask = 0
-        for i in idxs:
-            mask |= 1 << i
-        for i in idxs:
-            adj[i] |= mask
-    for i in range(len(verts)):
-        adj[i] &= ~(1 << i)
-    return ConflictGraph(t, verts, tuple(adj))
+        for y in ball:
+            mask |= windows[y]
+        adj.append(mask & ~(1 << i))
+    return ConflictGraph(t, verts, tuple(adj), windows)
 
 
 # --- bitmask independent-set core -----------------------------------------
@@ -530,7 +530,9 @@ def _prepare(config: SearchConfig):
     adj = packed.adj
     open0, _ = _root_state(packed, config.force_constants)
     order = sorted(range(len(packed)), key=lambda i: ((adj[i] & open0).bit_count(), i))
-    graph = _graph_on(tuple(packed.vertices[i] for i in order), config.t)
+    verts = tuple(packed.vertices[i] for i in order)
+    del packed, adj  # one graph at a time: the packed one goes first
+    graph = _graph_on(verts, config.t)
     open0, forced = _root_state(graph, config.force_constants)
     return graph, open0, forced.bit_count(), forced
 

@@ -43,6 +43,7 @@ from delcodes.search import (
     _solve_stack,
     _symmetry_perms,
 )
+from delcodes.words import _ball_table
 
 EXAMPLE_CODE = Code(["00000", "11111", "00011", "11000", "10101", "01110"])
 
@@ -131,6 +132,7 @@ class TestConflictGraph:
                         by_distance = deletion_distance(u, v) <= t
                         by_balls = bool(ref_ball(str(u), t) & ref_ball(str(v), t))
                         assert by_distance == by_balls == g.has_edge(i, j)
+                assert g.windows == _ref_windows(g), (n, t)
 
     def test_symmetry(self):
         g = build_conflict_graph([Word(s) for s in all_strings(4)], 1)
@@ -150,11 +152,22 @@ class TestConflictGraph:
         words = [Word("0" * 20), Word("0" * 19 + "1"), Word("0" * 18 + "11")]
         g = build_conflict_graph(words, 1)
         assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
+        assert g.windows == _ref_windows(g)
 
     def test_unknown_word_rejected(self):
         g = build_conflict_graph([Word("00"), Word("11")], 1)
         with pytest.raises(ValueError):
             g.index_of(Word("01"))
+
+
+def _ref_windows(graph) -> dict[int, int]:
+    """Each window some vertex ball holds, mapped to the mask of those
+    vertices, from the string balls."""
+    windows: dict[int, int] = {}
+    for i, w in enumerate(graph.vertices):
+        for y in ref_ball(str(w), graph.t):
+            windows[int(y, 2)] = windows.get(int(y, 2), 0) | 1 << i
+    return windows
 
 
 @pytest.fixture
@@ -599,6 +612,46 @@ def test_certify_keeps_one_container_per_weighted_word(basic_only, force):
             assert len({m for m, _ in expected}) == len(expected), (n, t)
             _, containers = certify(graph, open0, weights)
             assert sorted(containers) == sorted(expected), (n, t)
+
+
+def _ball_walk_certificate(graph, open_mask, weights):
+    """The certificate as certify built it before the graph kept its window
+    map: the open balls walked once for c and once more for the masks."""
+    balls = _ball_table(graph.word_length, graph.t)
+    vertices = [
+        (i, w.bits) for i, w in enumerate(graph.vertices) if open_mask >> i & 1
+    ]
+    weight = {y: w for y, w in weights.items() if w > 0}
+    c = min(
+        (sum(weight.get(y, 0) for y in balls[x]) for _, x in vertices), default=0
+    )
+    if c <= 0:
+        return None
+    masks: dict[int, int] = {}
+    for i, x in vertices:
+        for y in balls[x]:
+            if y in weight:
+                masks[y] = masks.get(y, 0) | 1 << i
+    return c, tuple((mask, weight[y]) for y, mask in masks.items())
+
+
+@pytest.mark.parametrize("basic_only,force", FLAGS)
+def test_certificate_matches_the_ball_walk(basic_only, force):
+    # the same c and the same containers, each as its set of words
+    def by_words(graph, cliques):
+        if cliques is None:
+            return None
+        unit, containers = cliques
+        return unit, sorted(
+            (sorted(graph.vertices[i].bits for i in _bits_of(mask)), w)
+            for mask, w in containers
+        )
+
+    for n, t in sorted(_root_data.DUALS):
+        graph, open0, _, _ = _prepare(SearchConfig(n, t, basic_only, force))
+        weights = rows.stored_weights(n, t)
+        expected = by_words(graph, _ball_walk_certificate(graph, open0, weights))
+        assert by_words(graph, certify(graph, open0, weights)) == expected, (n, t)
 
 
 @pytest.mark.parametrize("n,t", [(7, 1), (9, 2)])

@@ -60,7 +60,8 @@ def optimal_duals(graph, open_mask: int) -> list[float]:
 
     X runs over the orbits of the open vertices of the conflict graph (a set
     closed under complement and reversal), Y over the orbits of the words in
-    their balls; words in no open ball get weight 0.  This is the packing LP
+    their balls, the keys of graph.windows whose masks meet the open set;
+    words in no open ball get weight 0.  This is the packing LP
     of Kulkarni and Kashyap (IEEE Trans. IT 2013) over orbits under
     complement and reversal, solved by a dense float simplex whose
     right-hand side is nonnegative, so the slack basis is feasible from the
@@ -73,7 +74,7 @@ def optimal_duals(graph, open_mask: int) -> list[float]:
     vertices = [w.bits for i, w in enumerate(graph.vertices) if open_mask >> i & 1]
     x_orbit, x_sizes = _orbit_index(vertices, n)
     y_orbit, y_sizes = _orbit_index(
-        sorted({y for x in vertices for y in balls[x]}), m
+        sorted(y for y, mask in graph.windows.items() if mask & open_mask), m
     )
     k, r = len(x_sizes), len(y_sizes)
     width = k + r
