@@ -55,18 +55,17 @@ class Code(WordSet):
             fh.write(self.to_text())
 
 
-def find_ball_collision(code: Code, t: int) -> tuple[Word, Word] | None:
-    """First pair of codewords (ascending order) whose deletion balls meet."""
-    return _first_collision(code, t, {})
-
-
-def _first_collision(
-    code: Code, t: int, owner: dict[int, int]
+def find_ball_collision(
+    code: Code, t: int, owner: dict[int, int] | None = None
 ) -> tuple[Word, Word] | None:
-    """find_ball_collision, building each ball once and recording in `owner`
-    the codeword of every ball member scanned: with no collision, `owner`
-    ends up holding the union of the balls."""
+    """First pair of codewords (ascending order) whose deletion balls meet.
+
+    Each ball is built once, and `owner`, when given, records the codeword
+    of every ball member scanned: with no collision it ends up holding the
+    union of the balls."""
     _check_t(code, t)
+    if owner is None:
+        owner = {}
     n = code.member_length
     for bits in code.packed():
         for member in sorted(_ball_packed(bits, n, t)):
@@ -95,7 +94,7 @@ def code_deletion_distance(code: Code) -> int:
 def is_perfect(code: Code, t: int) -> bool:
     """True iff the (already disjoint) balls cover every word of length n-t."""
     owner: dict[int, int] = {}
-    if _first_collision(code, t, owner) is not None:
+    if find_ball_collision(code, t, owner) is not None:
         raise ValueError(f"code is not {t}-deletion-correcting")
     return len(owner) == 1 << (code.member_length - t)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .codes import Code, vt_code
 from .rows import certify, pruning, stored_weights
@@ -285,33 +285,20 @@ def _solve_stack(
     return best_size, best_chosen, nodes, True
 
 
-def _symmetry_perms(graph: ConflictGraph) -> tuple[list[int], ...]:
-    """Complement, reversal and reverse complement as permutations of the
-    vertex labels.  They are automorphisms of every search graph: the
-    dominance relation commutes with them, so the candidates, the forced
-    words and the conflicts are all mapped onto themselves."""
-    n = graph.word_length
-    index = graph._index
-    perms: tuple[list[int], ...] = tuple([0] * len(graph) for _ in range(3))
-    for i, w in enumerate(graph.vertices):
-        for perm, image in zip(perms, _images(w.bits, n)[1:]):
-            perm[i] = index[image]
-    return perms
-
-
 def _orbit_roots(
     adj: tuple[int, ...],
     open_mask: int,
     size: int,
     chosen: int,
     cap: int,
-    perms: tuple[list[int], ...],
+    orbit: Callable[[int], int],
 ) -> list[tuple[int, int, int, int]]:
     """Orbital branching at the root: subproblems (open mask, size, chosen,
     bound) for _solve_stack that hold an image of every solution.
 
-    `perms` are the non-identity members of a group of automorphisms that
-    maps the open vertices onto themselves.  The open orbits O_1, O_2, ...
+    `orbit(v)` is the mask of v's orbit under a group of automorphisms that
+    maps the open vertices onto themselves; it is called once for each
+    orbit, with its first vertex.  The open orbits O_1, O_2, ...
     are taken in descending label order of their first vertex v_i; entry i
     takes v_i and keeps open the vertices outside O_1 ... O_{i-1} and the
     closed neighbourhood of v_i, the rest of O_i among them.  A solution
@@ -327,12 +314,9 @@ def _orbit_roots(
     while rem:
         v = rem.bit_length() - 1
         bit = 1 << v
-        orbit = bit
-        for perm in perms:
-            orbit |= 1 << perm[v]
         roots.append((open_mask & ~earlier & ~adj[v] & ~bit, size + 1, chosen | bit, cap))
-        earlier |= orbit
-        rem &= ~orbit
+        earlier |= orbit(v)
+        rem &= ~earlier
     roots.reverse()
     return roots
 
@@ -357,11 +341,8 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     config.validate()
     start = time.monotonic()
     deadline = start + config.time_budget if config.time_budget else None
-    graph, open0, size0, chosen0, upper, cliques = _root(config)
+    graph, stack, (best_size, best_chosen), upper, cliques = _root(config)
     adj = graph.adj
-    # some image of every code under the symmetries lies in the roots
-    stack = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
-    best_size, best_chosen = _initial_incumbent(graph, stack)
     procs = min(config.workers, _cpu_count())
     # with several processes, a serial prefix first: a small tree ends in it
     # and starts no pool; the prefix leaves at least one subproblem on the
@@ -395,8 +376,7 @@ def max_code_size(config: SearchConfig) -> SearchResult:
                     best_size, best_chosen = size, chosen
     if config.canonical_witness and exhausted:
         best_chosen = _canonical_witness(
-            adj, open0, size0, chosen0, best_size, deadline, cliques,
-            sorted(range(len(graph)), key=lambda i: graph.vertices[i].bits),
+            graph, config.force_constants, best_size, deadline, cliques
         )
 
     witness = Code._from_packed(
@@ -423,11 +403,31 @@ def _cpu_count() -> int:
 
 
 def _root(config: SearchConfig):
-    """The root step of every search: the prepared graph and root state (see
-    _prepare), the proved bound and the certificate (see _root_bound)."""
+    """The root step of every search: (graph, roots, seed, upper, cliques).
+
+    The graph is prepared in search order (see _prepare); the roots are its
+    orbit roots (see _orbit_roots), each orbit read from its words (see
+    words._images) as it is walked; the seed is the starting solution
+    (size, chosen mask) from them (see _initial_incumbent); upper and
+    cliques are the proved bound and the certificate (see _root_bound).
+    Complement, reversal and reverse complement are automorphisms of every
+    search graph: the dominance relation commutes with them, so the
+    candidates, the forced words and the conflicts are all mapped onto
+    themselves, and some image of every code lies in the roots."""
     graph, open0, size0, chosen0 = _prepare(config)
     weights = stored_weights(config.n, config.t)
-    return graph, open0, size0, chosen0, *_root_bound(graph, open0, size0, weights)
+    upper, cliques = _root_bound(graph, open0, size0, weights)
+    n = graph.word_length
+    index = graph._index
+
+    def orbit(v: int) -> int:
+        mask = 0
+        for image in _images(graph.vertices[v].bits, n):
+            mask |= 1 << index[image]
+        return mask
+
+    roots = _orbit_roots(graph.adj, open0, size0, chosen0, upper, orbit)
+    return graph, roots, _initial_incumbent(graph, roots), upper, cliques
 
 
 def _root_bound(
@@ -456,15 +456,12 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
             f"length {config.n} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     deadline = time.monotonic() + config.time_budget if config.time_budget else None
-    graph, open0, size0, chosen0, upper, cliques = _root(config)
-    adj = graph.adj
     # one image of every optimum suffices: the classes are orbits, and the
     # dominant words are mapped onto themselves
-    roots = _orbit_roots(adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
-    seed, _ = _initial_incumbent(graph, roots)
+    graph, roots, (seed, _), upper, cliques = _root(config)
     found: list[int] = []
     *_, exhausted = _solve_stack(
-        adj, roots, seed - 1, 0, deadline, upper, cliques, found
+        graph.adj, roots, seed - 1, 0, deadline, upper, cliques, found
     )
     if not exhausted:
         raise SearchBudgetExceeded(
@@ -551,26 +548,25 @@ def _root_state(graph: ConflictGraph, force_constants: bool) -> tuple[int, int]:
 
 
 def _canonical_witness(
-    adj: tuple[int, ...],
-    open0: int,
-    size0: int,
-    chosen0: int,
+    graph: ConflictGraph,
+    force_constants: bool,
     optimum: int,
     deadline: float | None,
     cliques: tuple[int, tuple[tuple[int, int], ...]] | None,
-    order: list[int],
 ) -> int:
-    """Optimum solution least in the vertex order `order`, fixed vertex by
-    vertex.  In packed-value order it is the smallest optimal code among the
-    candidates: under dominance pruning, the smallest optimal basic code.
+    """Optimum solution (chosen mask) of the search graph least in packed
+    order, fixed vertex by vertex from the root state (see _root_state): the
+    smallest optimal code among the candidates, and under dominance pruning
+    the smallest optimal basic code.  Packed order does not follow the
+    labels, so the witness is the same code under any labelling.
 
     A vertex that no optimum holds together with the choice so far fits no
     later, larger choice either, so it leaves the open set.  Raises
     SearchBudgetExceeded when the deadline passes first."""
-    chosen = chosen0
-    size = size0
-    om = open0
-    for v in order:
+    adj = graph.adj
+    om, chosen = _root_state(graph, force_constants)
+    size = chosen.bit_count()
+    for v in sorted(range(len(graph)), key=lambda i: graph.vertices[i].bits):
         if size >= optimum:
             break
         bit = 1 << v

@@ -166,19 +166,17 @@ def weight(w: Word) -> int:
 
 def complement(w: Word) -> Word:
     """Flip every symbol."""
-    return Word.from_bits(w.bits ^ ((1 << w.n) - 1), w.n)
+    return Word.from_bits(_images(w.bits, w.n)[1], w.n)
 
 
 def reverse(w: Word) -> Word:
     """Read the word right to left."""
-    return Word.from_bits(_reverse_packed(w.bits, w.n), w.n)
+    return Word.from_bits(_images(w.bits, w.n)[2], w.n)
 
 
 def reverse_complement(w: Word) -> Word:
     """Reverse and flip; the two steps commute."""
-    return Word.from_bits(
-        _reverse_packed(w.bits, w.n) ^ ((1 << w.n) - 1), w.n
-    )
+    return Word.from_bits(_images(w.bits, w.n)[3], w.n)
 
 
 def delete_at(w: Word, i: int) -> Word:
@@ -290,17 +288,13 @@ def _lcs_packed(xb: int, xn: int, yb: int, yn: int) -> int:
     return xn - v.bit_count()
 
 
-def _reverse_packed(bits: int, n: int) -> int:
-    # at n = 0 the format is "0", which reads back as 0
-    return int(format(bits, f"0{n}b")[::-1], 2)
-
-
 def _images(bits: int, n: int) -> tuple[int, int, int, int]:
     """The word, its complement, its reversal and its reverse complement:
     the orbit under the symmetry group that maps every code to a code of
     the same size."""
     mask = (1 << n) - 1
-    r = _reverse_packed(bits, n)
+    # at n = 0 the format is "0", which reads back as 0
+    r = int(format(bits, f"0{n}b")[::-1], 2)
     return bits, bits ^ mask, r, r ^ mask
 
 

@@ -16,7 +16,7 @@ from delcodes import (
     is_t_deletion_correcting,
     vt_code,
 )
-from delcodes import dominance, words
+from delcodes import codes, dominance, words
 from delcodes.cli import main
 
 SRC = str(Path(delcodes.__file__).resolve().parent.parent)
@@ -236,6 +236,27 @@ class TestCheck:
         assert doc["perfect"] is False
         assert doc["basic"] is True
         assert doc["collision"] is None
+
+    def test_perfect_builds_each_ball_once(self, capsys, monkeypatch, tmp_path):
+        # the perfect check reads the union of the balls that the collision
+        # walk built; VT_0 at n = 8 is perfect
+        vt8 = vt_code(8, 0)
+        path = tmp_path / "vt8.code"
+        path.write_text(vt8.to_text())
+        calls = []
+        ball = codes._ball_packed
+
+        def counted(bits, n, t):
+            calls.append(bits)
+            return ball(bits, n, t)
+
+        monkeypatch.setattr(codes, "_ball_packed", counted)
+        code, out, _ = run(
+            capsys, "check", str(path), "--t", "1", "--perfect", "--json"
+        )
+        doc = json.loads(out)
+        assert code == 0 and doc["deletion_correcting"] and doc["perfect"]
+        assert sorted(calls) == list(vt8.packed()) and len(calls) == 30
 
     def test_missing_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.code"), "--t", "1")

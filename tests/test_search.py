@@ -34,16 +34,14 @@ from delcodes.search import (
     _bits_of,
     _canonical_witness,
     _children,
-    _initial_incumbent,
     _orbit_roots,
     _prepare,
     _root,
     _root_bound,
     _root_state,
     _solve_stack,
-    _symmetry_perms,
 )
-from delcodes.words import _ball_table
+from delcodes.words import _ball_table, _images
 
 EXAMPLE_CODE = Code(["00000", "11111", "00011", "11000", "10101", "01110"])
 
@@ -65,10 +63,15 @@ GREEDY_SEEDS = {
     **{(3, n): v for n, v in {4: 2, 5: 2, 6: 2, 7: 2, 8: 4, 9: 5, 10: 6}.items()},
 }
 SMALLEST_MAX_CODE_5_1 = ("00000", "00011", "01101", "10010", "11100", "11111")
-CANONICAL_8_2 = [
-    "00000000", "00000111", "00101010", "01111100", "10110011", "11100000",
-    "11111111",
-]
+# (basic_only, force_constants) -> the canonical t=2 n=8 witness: without
+# dominance pruning it may hold dominant words, and without forcing it need
+# not hold the constant words
+CANONICAL_8_2 = {
+    (True, True): "00000000 00000111 00101010 01111100 10110011 11100000 11111111",
+    (True, False): "00000000 00000111 00101010 01111100 10110011 11100000 11111111",
+    (False, True): "00000000 00000111 00101010 01111100 10110000 11010011 11111111",
+    (False, False): "00000000 00000111 00101010 00111111 10111100 11010011 11100000",
+}
 OPTIMAL_BASIC_CLASSES_5_1 = [
     ("00000", "00011", "01101", "10010", "11100", "11111"),
     ("00000", "00011", "01110", "10101", "11000", "11111"),
@@ -280,20 +283,16 @@ class TestMaxCodeSize:
         )
         assert unpruned.witness == r.witness
 
-    def test_canonical_witness_pinned(self):
-        r = max_code_size(SearchConfig(8, 2, canonical_witness=True))
-        assert [str(w) for w in r.witness] == CANONICAL_8_2
+    @pytest.mark.parametrize("basic_only,force", FLAGS)
+    def test_canonical_witness_pinned(self, basic_only, force):
+        r = max_code_size(SearchConfig(8, 2, basic_only, force, canonical_witness=True))
+        assert " ".join(map(str, r.witness)) == CANONICAL_8_2[basic_only, force]
 
     def test_canonical_witness_respects_deadline(self):
-        graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 1))
-        _, cliques = _root_bound(graph, open0, size0, rows.stored_weights(7, 1))
-        order = sorted(range(len(graph)), key=lambda i: graph.vertices[i].bits)
+        graph, _, _, _, cliques = _root(SearchConfig(7, 1))
         past = time.monotonic() - 1
         with pytest.raises(SearchBudgetExceeded):
-            _canonical_witness(
-                graph.adj, open0, size0, chosen0, KNOWN_OPTIMA[1, 7], past, cliques,
-                order,
-            )
+            _canonical_witness(graph, True, KNOWN_OPTIMA[1, 7], past, cliques)
 
     def test_json_document(self):
         doc = max_code_size(SearchConfig(4, 1)).to_json_dict()
@@ -431,12 +430,11 @@ class TestMaxCodeSize:
 
 
 def _seed(config):
-    """The search's starting solution (size, mask), from the orbit roots as
-    the search builds them, and its prepared root (graph, open0, size0,
-    chosen0)."""
-    graph, open0, size0, chosen0, upper, _ = _root(config)
-    roots = _orbit_roots(graph.adj, open0, size0, chosen0, upper, _symmetry_perms(graph))
-    return _initial_incumbent(graph, roots), (graph, open0, size0, chosen0)
+    """The search's starting solution (size, mask), as its root step builds
+    it, and its prepared root (graph, open0, size0, chosen0)."""
+    graph, _, seed, _, _ = _root(config)
+    open0, chosen0 = _root_state(graph, config.force_constants)
+    return seed, (graph, open0, chosen0.bit_count(), chosen0)
 
 
 def _greedy_independent(open_mask, adj, rank):
@@ -658,8 +656,9 @@ def test_certificate_matches_the_ball_walk(basic_only, force):
 def test_certificate_order_leaves_the_tree_unchanged(n, t):
     # the node test stops at the first container that settles it, and every
     # weight is positive, so whether it prunes does not depend on the order
-    graph, open0, size0, chosen0, upper, (unit, containers) = _root(SearchConfig(n, t))
-    perms = _symmetry_perms(graph)
+    graph, roots, _, upper, (unit, containers) = _root(SearchConfig(n, t))
+    _, chosen0 = _root_state(graph, True)
+    size0 = chosen0.bit_count()
     shuffled = list(containers)
     random.Random(n * 10 + t).shuffle(shuffled)
     # maximise from the forced words alone; collect from one below the optimum
@@ -669,10 +668,10 @@ def test_certificate_order_leaves_the_tree_unchanged(n, t):
     for floor, found in modes:
         runs = []
         for order in (containers, containers[::-1], tuple(shuffled)):
-            roots = _orbit_roots(graph.adj, open0, size0, chosen0, upper, perms)
             kept = None if found is None else []
             best, _, nodes, done = _solve_stack(
-                graph.adj, roots, floor, chosen0, None, upper, (unit, order), kept
+                graph.adj, list(roots), floor, chosen0, None, upper, (unit, order),
+                kept,
             )
             runs.append((best, nodes, done, kept and sorted(kept)))
         assert runs[0][2] and runs[0][0] == KNOWN_OPTIMA[t, n] - (found is not None)
@@ -769,10 +768,7 @@ class TestSearchOrder:
     def test_seed_is_the_first_largest_dive(self):
         # a dive from an orbit root keeps taking its lowest open label; the
         # t=2 n=10 seed is the first of the largest dives, at 15 words
-        graph, open0, size0, chosen0, upper, _ = _root(SearchConfig(10, 2))
-        roots = _orbit_roots(
-            graph.adj, open0, size0, chosen0, upper, _symmetry_perms(graph)
-        )
+        graph, roots, seed, _, _ = _root(SearchConfig(10, 2))
         dives = []
         for om, size, chosen, _ in roots:
             for v in range(len(graph)):
@@ -780,9 +776,7 @@ class TestSearchOrder:
                     size, chosen, om = size + 1, chosen | 1 << v, om & ~graph.adj[v]
             dives.append((size, chosen))
         largest = max(size for size, _ in dives)
-        assert _initial_incumbent(graph, roots) == next(
-            d for d in dives if d[0] == largest
-        )
+        assert seed == next(d for d in dives if d[0] == largest)
         assert largest == 15
 
     def test_root_bound_does_not_follow_the_labels(self):
@@ -979,14 +973,34 @@ def _image(perm: list[int], mask: int) -> int:
 
 class TestSymmetry:
     @pytest.mark.parametrize("t", sorted(SEARCH_CAPS))
-    def test_symmetries_are_automorphisms(self, t):
-        # every search graph within the caps, under all four flag pairs
+    def test_symmetries_are_automorphisms(self, t, monkeypatch):
+        # every search graph within the caps, under all four flag pairs; the
+        # search maps only the orbits it walks, so this is what covers the
+        # group's closure on every vertex
+        orbits = []
+
+        def spy(*args):
+            orbits.append(args[-1])
+            return _orbit_roots(*args)
+
+        monkeypatch.setattr(search, "_orbit_roots", spy)
         for n in range(t + 1, SEARCH_CAPS[t] + 1):
             for basic_only in (True, False):
-                graph, *_ = _prepare(SearchConfig(n, t, basic_only))
+                graph, *_ = _root(SearchConfig(n, t, basic_only))
                 ident = list(range(len(graph)))
-                complement, reverse, both = _symmetry_perms(graph)
+                complement, reverse, both = (
+                    [graph.index_of(Word.from_bits(_images(w.bits, n)[k], n))
+                     for w in graph.vertices]
+                    for k in (1, 2, 3)
+                )
                 assert [reverse[i] for i in complement] == both
+                # the search's orbit function gives each vertex's orbit
+                orbit = orbits.pop()
+                assert all(
+                    orbit(v) == 1 << v | 1 << complement[v] | 1 << reverse[v]
+                    | 1 << both[v]
+                    for v in ident
+                ), (n, t, basic_only)
                 neighbours = [frozenset(_bits_of(m)) for m in graph.adj]
                 # the two generators suffice, and each is a bijection
                 for perm in (complement, reverse):
@@ -1014,7 +1028,7 @@ class TestSymmetry:
         ]
         optimum = max(m.bit_count() for m in independent)
         none = (1, ())
-        roots = _orbit_roots(adj, om, 0, 0, v, [sigma])
+        roots = _orbit_roots(adj, om, 0, 0, v, lambda u: 1 << u | 1 << sigma[u])
         if not om:
             assert roots == [(0, 0, 0, v)]
         # maximise from an empty incumbent
@@ -1036,10 +1050,11 @@ class TestSymmetry:
 
     def test_empty_open_root_is_collected(self):
         # t=3 n=7: the forced words block every other word and are optimal
-        graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 3))
+        graph, roots, seed, upper, cliques = _root(SearchConfig(7, 3))
+        open0, chosen0 = _root_state(graph, True)
+        size0 = chosen0.bit_count()
         assert open0 == 0 and size0 == KNOWN_OPTIMA[3, 7]
-        perms = _symmetry_perms(graph)
-        roots = _orbit_roots(graph.adj, open0, size0, chosen0, size0, perms)
+        assert cliques is None and upper == size0 and seed == (size0, chosen0)
         assert roots == [(0, size0, chosen0, size0)]
         found: list[int] = []
         *_, done = _solve_stack(
@@ -1135,10 +1150,7 @@ class TestEnumerateOptimal:
     def test_certificate_keeps_every_collected_code(self, n, t):
         # the certificate prunes only subtrees without a code of the optimum's
         # size, so the collection gathers the same masks with it as without
-        graph, open0, size0, chosen0, upper, cliques = _root(SearchConfig(n, t))
-        roots = _orbit_roots(
-            graph.adj, open0, size0, chosen0, upper, _symmetry_perms(graph)
-        )
+        graph, roots, _, upper, cliques = _root(SearchConfig(n, t))
         optimum = KNOWN_OPTIMA[t, n]
         gathered = []
         for certificate in (cliques, (1, ())):
@@ -1156,11 +1168,8 @@ class TestEnumerateOptimal:
     def test_collect_from_any_floor_below_the_optimum(self, n, t, basic, force):
         # a code two or more above the floor lifts it, and a recorded node is
         # expanded, so a floor that falls short gathers the same masks
-        graph, open0, size0, chosen0, upper, cliques = _root(
+        graph, roots, _, upper, cliques = _root(
             SearchConfig(n, t, basic_only=basic, force_constants=force)
-        )
-        roots = _orbit_roots(
-            graph.adj, open0, size0, chosen0, upper, _symmetry_perms(graph)
         )
         optimum = KNOWN_OPTIMA[t, n]
         gathered = []
