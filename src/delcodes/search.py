@@ -80,16 +80,7 @@ class SearchResult(NamedTuple):
     upper_bound: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "optimum": self.optimum,
-            "upper_bound": self.upper_bound,
-            "witness": [str(w) for w in self.witness],
-            "node_count": self.node_count,
-            "wall_time_ms": self.wall_time_ms,
-            "exhausted": self.exhausted,
-        }
+        return {**self._asdict(), "witness": self.witness.strings()}
 
 
 class ConflictGraph:
@@ -178,8 +169,9 @@ def _graph_on(verts: tuple[Word, ...], t: int) -> ConflictGraph:
 
 def _children(
     adj: tuple[int, ...], om: int, size: int, chosen: int, best_size: int
-) -> list[tuple[int, int, int, int]]:
-    """Colour-ordered children (open mask, size, chosen, bound) of a node.
+) -> list[tuple[int, int, int]]:
+    """Colour-ordered children (open mask, chosen mask, bound) of a node
+    whose chosen mask holds `size` vertices.
 
     One pass splits the open vertices into cliques, one class at a time: a
     class takes the lowest open vertex left, then keeps taking the lowest
@@ -203,7 +195,7 @@ def _children(
             low = r & -r
             v = low.bit_length() - 1
             if bound > best_size:
-                out.append((earlier & ~adj[v], size + 1, chosen | low, bound))
+                out.append((earlier & ~adj[v], chosen | low, bound))
             earlier |= low
             r &= adj[v]
         om &= ~earlier
@@ -212,7 +204,7 @@ def _children(
 
 def _solve_stack(
     adj: tuple[int, ...],
-    stack: list[tuple[int, int, int, int]],
+    stack: list[tuple[int, int, int]],
     best_size: int,
     best_chosen: int,
     deadline: float | None,
@@ -221,8 +213,9 @@ def _solve_stack(
     found: list[int] | None = None,
     limit: int | None = None,
 ) -> tuple[int, int, int, bool]:
-    """Exact max independent set over the subproblems (open mask, size,
-    chosen, bound) on the stack, the last popped first.
+    """Exact max independent set over the subproblems (open mask, chosen
+    mask, bound) on the stack, the last popped first.  A subproblem's size
+    is the number of vertices in its chosen mask.
 
     Branch-and-bound: a node is pruned by the container-clique certificate
     `cliques` = (c, ((mask, weight), ...)) from rows.certify (no pruning
@@ -252,15 +245,16 @@ def _solve_stack(
     while stack:
         if best_size >= cap:
             break
-        om, size, chosen, bound = stack.pop()
+        om, chosen, bound = stack.pop()
         if bound <= best_size:
             continue
         if deadline is not None and time.monotonic() > deadline:
             return best_size, best_chosen, nodes, False
         if nodes == limit:
-            stack.append((om, size, chosen, bound))
+            stack.append((om, chosen, bound))
             return best_size, best_chosen, nodes, False
         nodes += 1
+        size = chosen.bit_count()
         if size > best_size:
             if found is None:
                 best_size, best_chosen = size, chosen
@@ -288,12 +282,11 @@ def _solve_stack(
 def _orbit_roots(
     adj: tuple[int, ...],
     open_mask: int,
-    size: int,
     chosen: int,
     cap: int,
     orbit: Callable[[int], int],
-) -> list[tuple[int, int, int, int]]:
-    """Orbital branching at the root: subproblems (open mask, size, chosen,
+) -> list[tuple[int, int, int]]:
+    """Orbital branching at the root: subproblems (open mask, chosen mask,
     bound) for _solve_stack that hold an image of every solution.
 
     `orbit(v)` is the mask of v's orbit under a group of automorphisms that
@@ -307,14 +300,14 @@ def _orbit_roots(
     no open vertex the root itself is the only entry.  Entry 1 holds the
     most open vertices and pops first."""
     if not open_mask:
-        return [(0, size, chosen, cap)]
+        return [(0, chosen, cap)]
     roots = []
     earlier = 0
     rem = open_mask
     while rem:
         v = rem.bit_length() - 1
         bit = 1 << v
-        roots.append((open_mask & ~earlier & ~adj[v] & ~bit, size + 1, chosen | bit, cap))
+        roots.append((open_mask & ~earlier & ~adj[v] & ~bit, chosen | bit, cap))
         earlier |= orbit(v)
         rem &= ~earlier
     roots.reverse()
@@ -331,7 +324,7 @@ def _set_worker_search(*shared) -> None:
     _worker_search = shared
 
 
-def _solve_task(task: tuple[int, int, int, int]) -> tuple[int, int, int, bool]:
+def _solve_task(task: tuple[int, int, int]) -> tuple[int, int, int, bool]:
     adj, best_size, deadline, cap, cliques = _worker_search
     return _solve_stack(adj, [task], best_size, 0, deadline, cap, cliques)
 
@@ -341,7 +334,8 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     config.validate()
     start = time.monotonic()
     deadline = start + config.time_budget if config.time_budget else None
-    graph, stack, (best_size, best_chosen), upper, cliques = _root(config)
+    graph, stack, best_chosen, upper, cliques = _root(config)
+    best_size = best_chosen.bit_count()
     adj = graph.adj
     procs = min(config.workers, _cpu_count())
     # with several processes, a serial prefix first: a small tree ends in it
@@ -355,7 +349,7 @@ def max_code_size(config: SearchConfig) -> SearchResult:
         # one subproblem per task, in pop order, each worker from the
         # prefix's incumbent size alone; the graph and the certificate go to
         # each worker once, not per task
-        tasks = [node for node in reversed(stack) if node[3] > best_size]
+        tasks = [node for node in reversed(stack) if node[-1] > best_size]
         shared = (adj, best_size, deadline, upper, cliques)
         exhausted = True
         # imported here: the process pool pulls in multiprocessing, pickle,
@@ -407,16 +401,16 @@ def _root(config: SearchConfig):
 
     The graph is prepared in search order (see _prepare); the roots are its
     orbit roots (see _orbit_roots), each orbit read from its words (see
-    words._images) as it is walked; the seed is the starting solution
-    (size, chosen mask) from them (see _initial_incumbent); upper and
+    words._images) as it is walked; the seed is the chosen mask of the
+    starting solution from them (see _initial_incumbent); upper and
     cliques are the proved bound and the certificate (see _root_bound).
     Complement, reversal and reverse complement are automorphisms of every
     search graph: the dominance relation commutes with them, so the
     candidates, the forced words and the conflicts are all mapped onto
     themselves, and some image of every code lies in the roots."""
-    graph, open0, size0, chosen0 = _prepare(config)
+    graph, open0, chosen0 = _prepare(config)
     weights = stored_weights(config.n, config.t)
-    upper, cliques = _root_bound(graph, open0, size0, weights)
+    upper, cliques = _root_bound(graph, open0, chosen0, weights)
     n = graph.word_length
     index = graph._index
 
@@ -426,17 +420,18 @@ def _root(config: SearchConfig):
             mask |= 1 << index[image]
         return mask
 
-    roots = _orbit_roots(graph.adj, open0, size0, chosen0, upper, orbit)
+    roots = _orbit_roots(graph.adj, open0, chosen0, upper, orbit)
     return graph, roots, _initial_incumbent(graph, roots), upper, cliques
 
 
 def _root_bound(
-    graph: ConflictGraph, open0: int, size0: int, weights: dict[int, int]
+    graph: ConflictGraph, open0: int, chosen0: int, weights: dict[int, int]
 ) -> tuple[int, tuple[int, tuple[tuple[int, int], ...]] | None]:
-    """Proved upper bound on the optimum, and the node certificate for
-    _solve_stack, from the integer LP weights given: None when they prove
-    nothing, as at a root with no open vertex, and then the bound counts
-    every open vertex."""
+    """Proved upper bound on the optimum over the root's open and chosen
+    masks, and the node certificate for _solve_stack, from the integer LP
+    weights given: None when they prove nothing, as at a root with no open
+    vertex, and then the bound counts every open vertex."""
+    size0 = chosen0.bit_count()
     cliques = certify(graph, open0, weights)
     if cliques is None:
         return size0 + open0.bit_count(), None
@@ -458,10 +453,10 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     deadline = time.monotonic() + config.time_budget if config.time_budget else None
     # one image of every optimum suffices: the classes are orbits, and the
     # dominant words are mapped onto themselves
-    graph, roots, (seed, _), upper, cliques = _root(config)
+    graph, roots, seed, upper, cliques = _root(config)
     found: list[int] = []
     *_, exhausted = _solve_stack(
-        graph.adj, roots, seed - 1, 0, deadline, upper, cliques, found
+        graph.adj, roots, seed.bit_count() - 1, 0, deadline, upper, cliques, found
     )
     if not exhausted:
         raise SearchBudgetExceeded(
@@ -483,9 +478,9 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
 
 
 def _initial_incumbent(
-    graph: ConflictGraph, roots: list[tuple[int, int, int, int]]
-) -> tuple[int, int]:
-    """Deterministic starting solution (size, chosen mask).  For single
+    graph: ConflictGraph, roots: list[tuple[int, int, int]]
+) -> int:
+    """Chosen mask of a deterministic starting solution.  For single
     deletions it is the checksum code VT_0, the largest residue class
     (Ginzburg 1967), its pruned words traded for their stored subordinates;
     for more deletions, the largest dive from the orbit roots `roots` (see
@@ -501,22 +496,21 @@ def _initial_incumbent(
                 # code still corrects
                 bits = pruning(n, 1)[bits]
             mask |= 1 << index[bits]
-        return mask.bit_count(), mask
-    best = 0, 0
-    for om, size, chosen, _ in roots:
+        return mask
+    best = 0
+    for om, chosen, _ in roots:
         while om:
             low = om & -om
-            size += 1
             chosen |= low
             om &= ~graph.adj[low.bit_length() - 1] & ~low
-        if size > best[0]:
-            best = size, chosen
+        if chosen.bit_count() > best.bit_count():
+            best = chosen
     return best
 
 
 def _prepare(config: SearchConfig):
-    """Candidate graph in search order plus the root state (open mask, chosen
-    size and mask).
+    """Candidate graph in search order plus the root state: (graph, open
+    mask, chosen mask).
 
     The vertices ascend by open degree at the root, ties by packed value.
     Greedy clique partitions in this order grow each class from the vertices
@@ -530,8 +524,7 @@ def _prepare(config: SearchConfig):
     verts = tuple(packed.vertices[i] for i in order)
     del packed, adj  # one graph at a time: the packed one goes first
     graph = _graph_on(verts, config.t)
-    open0, forced = _root_state(graph, config.force_constants)
-    return graph, open0, forced.bit_count(), forced
+    return (graph, *_root_state(graph, config.force_constants))
 
 
 def _root_state(graph: ConflictGraph, force_constants: bool) -> tuple[int, int]:
@@ -558,34 +551,35 @@ def _canonical_witness(
     order, fixed vertex by vertex from the root state (see _root_state): the
     smallest optimal code among the candidates, and under dominance pruning
     the smallest optimal basic code.  Packed order does not follow the
-    labels, so the witness is the same code under any labelling.
+    labels, so the witness is the same code under any labelling.  Each
+    step is a find search from the one subproblem (open mask, chosen mask
+    with v, optimum), so one that succeeds returns an optimal code that
+    extends the choice so far.
 
     A vertex that no optimum holds together with the choice so far fits no
     later, larger choice either, so it leaves the open set.  Raises
     SearchBudgetExceeded when the deadline passes first."""
     adj = graph.adj
     om, chosen = _root_state(graph, force_constants)
-    size = chosen.bit_count()
     for v in sorted(range(len(graph)), key=lambda i: graph.vertices[i].bits):
-        if size >= optimum:
+        if chosen.bit_count() >= optimum:
             break
         bit = 1 << v
         if not om & bit:
             continue
         sub = om & ~bit & ~adj[v]
         best, _, _, exhausted = _solve_stack(
-            adj, [(sub, size + 1, 0, optimum)], optimum - 1, 0, deadline, optimum,
+            adj, [(sub, chosen | bit, optimum)], optimum - 1, 0, deadline, optimum,
             cliques,
         )
         if best >= optimum:
             chosen |= bit
-            size += 1
             om = sub
         elif not exhausted:
             raise SearchBudgetExceeded("canonical witness ran out of budget")
         else:
             om ^= bit
-    if size < optimum:
+    if chosen.bit_count() < optimum:
         raise AssertionError("canonical witness reconstruction failed")
     return chosen
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import gc
-from itertools import chain
+from itertools import chain, groupby
 from typing import Iterable, Iterator
 
 MAX_LEN = 62
@@ -203,19 +203,9 @@ def _check_pair(u: Word, v: Word, t: int) -> None:
 
 
 def is_subsequence(x: Word, y: Word) -> bool:
-    """True iff x can be obtained from y by deletions (greedy left-to-right match)."""
-    if x.n > y.n:
-        return False
-    xb, yb = x.bits, y.bits
-    xi, yi = x.n, y.n
-    while xi:
-        if yi < xi:
-            return False
-        # compare leftmost unmatched symbols
-        if ((xb >> (xi - 1)) & 1) == ((yb >> (yi - 1)) & 1):
-            xi -= 1
-        yi -= 1
-    return True
+    """True iff x can be obtained from y by deletions: their longest common
+    subsequence is x itself."""
+    return lcs_length(x, y) == x.n
 
 
 def lcs_length(x: Word, y: Word) -> int:
@@ -250,19 +240,7 @@ def run_length_encode(w: Word) -> list[tuple[int, int]]:
     """Maximal runs left to right as (symbol, exponent) pairs."""
     if w.n == 0:
         raise ValueError("cannot run-length encode the empty word")
-    runs: list[tuple[int, int]] = []
-    bits, n = w.bits, w.n
-    cur = (bits >> (n - 1)) & 1
-    count = 1
-    for i in range(2, n + 1):
-        s = (bits >> (n - i)) & 1
-        if s == cur:
-            count += 1
-        else:
-            runs.append((cur, count))
-            cur, count = s, 1
-    runs.append((cur, count))
-    return runs
+    return [(int(s), len(list(r))) for s, r in groupby(str(w))]
 
 
 # --- packed-integer internals -------------------------------------------

@@ -14,6 +14,7 @@ from delcodes import (
     Code,
     SearchBudgetExceeded,
     SearchConfig,
+    SearchResult,
     Word,
     are_equivalent,
     build_candidates,
@@ -294,6 +295,33 @@ class TestMaxCodeSize:
         with pytest.raises(SearchBudgetExceeded):
             _canonical_witness(graph, True, KNOWN_OPTIMA[1, 7], past, cliques)
 
+    @pytest.mark.parametrize("n,t", [(7, 1), (8, 2)])
+    @pytest.mark.parametrize("basic_only,force", [(True, True), (False, False)])
+    def test_canonical_find_searches_return_codes(
+        self, n, t, basic_only, force, monkeypatch
+    ):
+        # each find search starts from the choice so far plus one vertex, so
+        # one that reaches the optimum returns an optimal code through it
+        solve = search._solve_stack
+        calls = []
+
+        def spy(adj, stack, *args):
+            (pushed,) = stack
+            result = solve(adj, stack, *args)
+            calls.append((pushed[1], result))
+            return result
+
+        monkeypatch.setattr(search, "_solve_stack", spy)
+        graph, _, _, _, cliques = _root(SearchConfig(n, t, basic_only, force))
+        optimum = KNOWN_OPTIMA[t, n]
+        _canonical_witness(graph, force, optimum, None, cliques)
+        reached = [(pushed, r[1]) for pushed, r in calls if r[0] >= optimum]
+        assert reached
+        for pushed, mask in reached:
+            assert mask & pushed == pushed
+            assert not any(graph.adj[i] & mask for i in _bits_of(mask))
+            assert mask.bit_count() == optimum
+
     def test_json_document(self):
         doc = max_code_size(SearchConfig(4, 1)).to_json_dict()
         assert doc["optimum"] == 4 and doc["exhausted"] is True
@@ -302,6 +330,7 @@ class TestMaxCodeSize:
             "n", "t", "optimum", "upper_bound", "witness", "node_count",
             "wall_time_ms", "exhausted",
         }
+        assert tuple(doc) == SearchResult._fields
 
     @pytest.mark.parametrize("n,t", [(6, 1), (8, 1), (9, 3)])
     def test_settled_at_root(self, n, t):
@@ -313,9 +342,9 @@ class TestMaxCodeSize:
     def test_checksum_seed_keeps_pruned_codewords(self):
         # pruned codewords are swapped for candidate subordinates, not dropped
         for n, size in {7: 16, 9: 52, 10: 94, 11: 172, 12: 316}.items():
-            (seed, mask), (graph, *_) = _seed(SearchConfig(n, 1))
+            mask, (graph, *_) = _seed(SearchConfig(n, 1))
             code = Code([w for i, w in enumerate(graph.vertices) if mask >> i & 1])
-            assert seed == len(code) == size
+            assert mask.bit_count() == len(code) == size
             assert is_t_deletion_correcting(code, 1)
 
     def test_t1_seed_is_vt0_alone(self, monkeypatch):
@@ -340,7 +369,7 @@ class TestMaxCodeSize:
         for n in range(2, 11):
             seed, root = _seed(SearchConfig(n, 1, basic_only, force))
             old = _greedy_then_best_residue(*root)
-            assert seed[0] == old[0], n
+            assert seed.bit_count() == old.bit_count(), n
             if n >= 7:
                 assert seed == old, n
 
@@ -350,7 +379,8 @@ class TestMaxCodeSize:
         # but for 14 against 15 at t=2 n=10 with both flags off
         for t in (2, 3):
             for n in range(t + 1, SEARCH_CAPS[t] + 1):
-                (seed, mask), (graph, *_) = _seed(SearchConfig(n, t, basic_only, force))
+                mask, (graph, *_) = _seed(SearchConfig(n, t, basic_only, force))
+                seed = mask.bit_count()
                 if (n, t, basic_only, force) == (10, 2, False, False):
                     assert seed == GREEDY_SEEDS[t, n] - 1 == 14
                 else:
@@ -430,11 +460,10 @@ class TestMaxCodeSize:
 
 
 def _seed(config):
-    """The search's starting solution (size, mask), as its root step builds
-    it, and its prepared root (graph, open0, size0, chosen0)."""
+    """The chosen mask of the search's starting solution, as its root step
+    builds it, and its prepared root (graph, open0, chosen0)."""
     graph, _, seed, _, _ = _root(config)
-    open0, chosen0 = _root_state(graph, config.force_constants)
-    return seed, (graph, open0, chosen0.bit_count(), chosen0)
+    return seed, (graph, *_root_state(graph, config.force_constants))
 
 
 def _greedy_independent(open_mask, adj, rank):
@@ -459,14 +488,14 @@ def _greedy_independent(open_mask, adj, rank):
     return size, chosen
 
 
-def _greedy_then_best_residue(graph, open0, size0, chosen0):
-    """The t = 1 seed before it was VT_0 alone: the min-degree greedy
-    extension of the root, ties to the least packed value, replaced by any
-    checksum class that is strictly larger, its pruned words traded for
-    their subordinates."""
+def _greedy_then_best_residue(graph, open0, chosen0):
+    """The t = 1 seed before it was VT_0 alone, as a chosen mask: the
+    min-degree greedy extension of the root, ties to the least packed
+    value, replaced by any checksum class that is strictly larger, its
+    pruned words traded for their subordinates."""
     rank = [w.bits for w in graph.vertices]
     size, chosen = _greedy_independent(open0, graph.adj, rank)
-    best_size, best_chosen = size + size0, chosen | chosen0
+    best_size, best_chosen = size + chosen0.bit_count(), chosen | chosen0
     n = graph.word_length
     subordinate = rows.pruning(n, 1)
     for a in range(n + 1):
@@ -479,7 +508,7 @@ def _greedy_then_best_residue(graph, open0, size0, chosen0):
                 mask |= 1 << i
         if mask.bit_count() > best_size:
             best_size, best_chosen = mask.bit_count(), mask
-    return best_size, best_chosen
+    return best_chosen
 
 
 def test_every_dominant_word_has_a_basic_subordinate():
@@ -564,10 +593,10 @@ def test_stored_weights_bound_t1_n11_at_once(basic_only, force):
 @pytest.mark.parametrize("basic_only,force", FLAGS)
 def test_stored_row_bounds_as_tightly_as_the_simplex(n, t, basic_only, force):
     # the constant windows and the dominance keep the default root's unit c
-    graph, open0, size0, _ = _prepare(SearchConfig(n, t, basic_only, force))
-    stored = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
+    graph, open0, chosen0 = _prepare(SearchConfig(n, t, basic_only, force))
+    stored = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
     live = integer_weights(optimal_duals(graph, open0)) if open0 else {}
-    assert stored[0] == _root_bound(graph, open0, size0, live)[0]
+    assert stored[0] == _root_bound(graph, open0, chosen0, live)[0]
 
 
 @settings(deadline=None, max_examples=60)
@@ -576,7 +605,7 @@ def test_stored_row_bounds_as_tightly_as_the_simplex(n, t, basic_only, force):
 def test_any_weights_certify_a_sound_bound(nt, flags, data):
     # a stale or wrong DUALS row is weak, never wrong
     n, t = nt
-    graph, open0, size0, _ = _prepare(SearchConfig(n, t, *flags))
+    graph, open0, chosen0 = _prepare(SearchConfig(n, t, *flags))
     size = 1 << (n - t)
     weights = dict(enumerate(
         data.draw(st.lists(st.integers(-3, 40), min_size=size, max_size=size))
@@ -588,7 +617,10 @@ def test_any_weights_certify_a_sound_bound(nt, flags, data):
     if cliques is not None:
         unit, containers = cliques
         # the optima up to n = 6 are pinned by brute force
-        assert size0 + sum(w for _, w in containers) // unit >= KNOWN_OPTIMA[t, n]
+        assert (
+            chosen0.bit_count() + sum(w for _, w in containers) // unit
+            >= KNOWN_OPTIMA[t, n]
+        )
 
 
 @pytest.mark.parametrize("basic_only,force", FLAGS)
@@ -597,7 +629,7 @@ def test_certify_keeps_one_container_per_weighted_word(basic_only, force):
     # no two of them share a mask at any stored root
     for t, cap in SEARCH_CAPS.items():
         for n in range(t + 1, cap + 1):
-            graph, open0, _, _ = _prepare(SearchConfig(n, t, basic_only, force))
+            graph, open0, _ = _prepare(SearchConfig(n, t, basic_only, force))
             if not open0:
                 continue
             weights = rows.stored_weights(n, t)
@@ -646,7 +678,7 @@ def test_certificate_matches_the_ball_walk(basic_only, force):
         )
 
     for n, t in sorted(_root_data.DUALS):
-        graph, open0, _, _ = _prepare(SearchConfig(n, t, basic_only, force))
+        graph, open0, _ = _prepare(SearchConfig(n, t, basic_only, force))
         weights = rows.stored_weights(n, t)
         expected = by_words(graph, _ball_walk_certificate(graph, open0, weights))
         assert by_words(graph, certify(graph, open0, weights)) == expected, (n, t)
@@ -683,14 +715,14 @@ class TestRootBound:
     def test_certified_bound_covers_known_optimum(self, basic_only, force):
         for (t, n), optimum in KNOWN_OPTIMA.items():
             config = SearchConfig(n, t, basic_only=basic_only, force_constants=force)
-            graph, open0, size0, _ = _prepare(config)
-            upper, _ = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
+            graph, open0, chosen0 = _prepare(config)
+            upper, _ = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
             assert upper >= optimum, (n, t)
 
     def test_lp_settles_where_the_greedy_cover_does_not(self):
-        graph, open0, size0, _ = _prepare(SearchConfig(8, 1))
-        assert size0 + len(_clique_partition(open0, graph.adj)) == 46
-        assert _root_bound(graph, open0, size0, rows.stored_weights(8, 1))[0] == 30
+        graph, open0, chosen0 = _prepare(SearchConfig(8, 1))
+        assert chosen0.bit_count() + len(_clique_partition(open0, graph.adj)) == 46
+        assert _root_bound(graph, open0, chosen0, rows.stored_weights(8, 1))[0] == 30
 
     @pytest.mark.parametrize("basic_only,force", FLAGS)
     def test_stored_certificate_never_loses_to_the_greedy_cover(
@@ -700,8 +732,10 @@ class TestRootBound:
         # is no looser than the cover, and where certify proves nothing no
         # vertex is open
         for n, t in sorted(_root_data.DUALS):
-            graph, open0, size0, _ = _prepare(SearchConfig(n, t, basic_only, force))
-            upper, cliques = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
+            graph, open0, chosen0 = _prepare(SearchConfig(n, t, basic_only, force))
+            size0 = chosen0.bit_count()
+            weights = rows.stored_weights(n, t)
+            upper, cliques = _root_bound(graph, open0, chosen0, weights)
             if cliques is None:
                 assert open0 == 0 and upper == size0, (n, t)
             else:
@@ -712,19 +746,20 @@ class TestRootBound:
     @pytest.mark.parametrize("n,t", [(7, 1), (8, 1), (9, 2), (10, 3)])
     def test_every_simplex_iterate_certifies(self, n, t):
         # the optimal duals, rounded, certify the known optimum
-        graph, open0, size0, _ = _prepare(SearchConfig(n, t))
+        graph, open0, chosen0 = _prepare(SearchConfig(n, t))
         cliques = certify(graph, open0, integer_weights(optimal_duals(graph, open0)))
         assert cliques is not None
         unit, containers = cliques
+        size0 = chosen0.bit_count()
         assert size0 + sum(w for _, w in containers) // unit >= KNOWN_OPTIMA[t, n]
 
     @pytest.mark.parametrize("n,t", [(5, 1), (6, 1), (7, 1), (6, 2), (8, 2), (8, 3)])
     def test_node_pruning_from_an_empty_incumbent(self, n, t):
         # no seed and no cap: every improvement must come through pruned nodes
-        graph, open0, size0, chosen0 = _prepare(SearchConfig(n, t))
-        _, cliques = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
+        graph, open0, chosen0 = _prepare(SearchConfig(n, t))
+        _, cliques = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
         best, _, _, done = _solve_stack(
-            graph.adj, [(open0, size0, chosen0, len(graph))], 0, 0, None, len(graph),
+            graph.adj, [(open0, chosen0, len(graph))], 0, 0, None, len(graph),
             cliques,
         )
         assert done and best == KNOWN_OPTIMA[t, n]
@@ -735,11 +770,11 @@ class TestRootBound:
     def test_node_bound_covers_brute_force(self, nt, flags, data):
         n, t = nt
         config = SearchConfig(n, t, basic_only=flags[0], force_constants=flags[1])
-        graph, open0, size0, _ = _prepare(config)
-        upper, cliques = _root_bound(graph, open0, size0, rows.stored_weights(n, t))
+        graph, open0, chosen0 = _prepare(config)
+        upper, cliques = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
         if cliques is None:
             # no open vertex: nothing to bound beyond the forced words
-            assert open0 == 0 and upper == size0
+            assert open0 == 0 and upper == chosen0.bit_count()
             return
         unit, containers = cliques
         indices = [i for i in range(len(graph)) if open0 >> i & 1]
@@ -770,24 +805,24 @@ class TestSearchOrder:
         # t=2 n=10 seed is the first of the largest dives, at 15 words
         graph, roots, seed, _, _ = _root(SearchConfig(10, 2))
         dives = []
-        for om, size, chosen, _ in roots:
+        for om, chosen, _ in roots:
             for v in range(len(graph)):
                 if om >> v & 1:
-                    size, chosen, om = size + 1, chosen | 1 << v, om & ~graph.adj[v]
-            dives.append((size, chosen))
-        largest = max(size for size, _ in dives)
-        assert seed == next(d for d in dives if d[0] == largest)
+                    chosen, om = chosen | 1 << v, om & ~graph.adj[v]
+            dives.append(chosen)
+        largest = max(chosen.bit_count() for chosen in dives)
+        assert seed == next(d for d in dives if d.bit_count() == largest)
         assert largest == 15
 
     def test_root_bound_does_not_follow_the_labels(self):
         # the stored weights are keyed by word, not by label
-        graph, open0, size0, _ = _prepare(SearchConfig(9, 3, basic_only=False))
+        graph, open0, chosen0 = _prepare(SearchConfig(9, 3, basic_only=False))
         packed = build_conflict_graph(build_candidates(9, 3, False), 3)
-        packed_open, _ = _root_state(packed, True)
+        roots = ((graph, open0, chosen0), (packed, *_root_state(packed, True)))
         bounds = []
-        for g, om in ((graph, open0), (packed, packed_open)):
+        for g, om, chosen in roots:
             upper, (unit, containers) = _root_bound(
-                g, om, size0, rows.stored_weights(9, 3)
+                g, om, chosen, rows.stored_weights(9, 3)
             )
             pairs = sorted((_words(g, mask), w) for mask, w in containers)
             bounds.append((upper, unit, pairs))
@@ -857,7 +892,7 @@ def _clique_partition(open_mask: int, adj: tuple[int, ...]) -> list[int]:
 def _reference_children(adj, om, size, chosen, best_size):
     """_children in two steps: the whole partition first, then a walk that
     skips the max(best_size - size, 0) classes whose bound cannot beat
-    best_size."""
+    best_size.  Children are (open mask, chosen mask, bound)."""
     classes = _clique_partition(om, adj)
     skip = max(best_size - size, 0)
     out = []
@@ -869,7 +904,7 @@ def _reference_children(adj, om, size, chosen, best_size):
             low = cls & -cls
             cls ^= low
             sub = earlier & ~adj[low.bit_length() - 1]
-            out.append((sub, size + 1, chosen | low, bound))
+            out.append((sub, chosen | low, bound))
             earlier |= low
     return out
 
@@ -888,14 +923,14 @@ class TestBranchAndBound:
         none = (1, ())
         # maximise from an empty incumbent
         best, chosen, _, done = _solve_stack(
-            adj, [(full, 0, 0, v)], 0, 0, None, v, none
+            adj, [(full, 0, v)], 0, 0, None, v, none
         )
         assert done and best == optimum == chosen.bit_count()
         assert chosen in independent
         # find a set of size T: incumbent T - 1, cap T
         for size in range(1, v + 2):
             best, chosen, _, done = _solve_stack(
-                adj, [(full, 0, 0, size)], size - 1, 0, None, size, none
+                adj, [(full, 0, size)], size - 1, 0, None, size, none
             )
             assert done and (best >= size) == (size <= optimum)
             if best >= size:
@@ -903,7 +938,7 @@ class TestBranchAndBound:
         # collect every maximum set, each once
         found: list[int] = []
         _solve_stack(
-            adj, [(full, 0, 0, optimum)], optimum - 1, 0, None, optimum, none, found
+            adj, [(full, 0, optimum)], optimum - 1, 0, None, optimum, none, found
         )
         assert sorted(found) == [
             m for m in independent if m.bit_count() == optimum
@@ -914,14 +949,21 @@ class TestBranchAndBound:
     def test_children_match_the_two_step_construction(self, adj, data):
         v = len(adj)
         om = data.draw(st.integers(0, (1 << v) - 1))
-        size = data.draw(st.integers(0, 5))
         chosen = data.draw(st.integers(0, (1 << v) - 1)) & ~om
+        size = chosen.bit_count()
         classes = len(_clique_partition(om, adj))
         # from a recorded collect node (best_size below size) to a node with
         # no child (best_size at or above size + classes)
         for best_size in range(size - 2, size + classes + 2):
             node = (adj, om, size, chosen, best_size)
-            assert _children(*node) == _reference_children(*node), best_size
+            children = _children(*node)
+            assert children == _reference_children(*node), best_size
+            for _, sub_chosen, bound in children:
+                # the child takes one open vertex, and its bound counts it
+                added = sub_chosen & ~chosen
+                assert sub_chosen & chosen == chosen and added & om == added
+                assert added.bit_count() == 1
+                assert bound >= sub_chosen.bit_count()
 
     def test_node_counts(self):
         # expanded pops: 2 394 and 465 from the orbit roots in degree order;
@@ -933,10 +975,10 @@ class TestBranchAndBound:
             assert r.exhausted and r.node_count < limit, (n, t, r.node_count)
 
     def test_collect_pass_at_t1_n7(self):
-        graph, open0, size0, chosen0 = _prepare(SearchConfig(7, 1))
+        graph, open0, chosen0 = _prepare(SearchConfig(7, 1))
         found: list[int] = []
         _, _, _, done = _solve_stack(
-            graph.adj, [(open0, size0, chosen0, 16)], 15, 0, None, 16, (1, ()), found
+            graph.adj, [(open0, chosen0, 16)], 15, 0, None, 16, (1, ()), found
         )
         assert done and len(found) == len(set(found)) == 158
 
@@ -1012,7 +1054,7 @@ class TestSymmetry:
                     ), (n, t, basic_only)
                 for force in (True, False):
                     config = SearchConfig(n, t, basic_only, force)
-                    _, open0, _, chosen0 = _prepare(config)
+                    _, open0, chosen0 = _prepare(config)
                     for perm in (complement, reverse):
                         assert _image(perm, open0) == open0, config
                         assert _image(perm, chosen0) == chosen0, config
@@ -1028,9 +1070,9 @@ class TestSymmetry:
         ]
         optimum = max(m.bit_count() for m in independent)
         none = (1, ())
-        roots = _orbit_roots(adj, om, 0, 0, v, lambda u: 1 << u | 1 << sigma[u])
+        roots = _orbit_roots(adj, om, 0, v, lambda u: 1 << u | 1 << sigma[u])
         if not om:
-            assert roots == [(0, 0, 0, v)]
+            assert roots == [(0, 0, v)]
         # maximise from an empty incumbent
         best, chosen, _, done = _solve_stack(adj, list(roots), 0, 0, None, v, none)
         assert done and best == optimum == chosen.bit_count()
@@ -1054,8 +1096,8 @@ class TestSymmetry:
         open0, chosen0 = _root_state(graph, True)
         size0 = chosen0.bit_count()
         assert open0 == 0 and size0 == KNOWN_OPTIMA[3, 7]
-        assert cliques is None and upper == size0 and seed == (size0, chosen0)
-        assert roots == [(0, size0, chosen0, size0)]
+        assert cliques is None and upper == size0 and seed == chosen0
+        assert roots == [(0, chosen0, size0)]
         found: list[int] = []
         *_, done = _solve_stack(
             graph.adj, roots, size0 - 1, 0, None, size0, (1, ()), found
