@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -49,6 +50,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    # what the interpreter and the imports built lives until exit, so
+    # neither the job's collections nor the one at exit need walk it; the
+    # job's tables hold tuples of ints, which one pass stops tracking
+    gc.freeze()
     try:
         status = args.func(args)
         sys.stdout.flush()

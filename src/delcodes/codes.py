@@ -37,9 +37,14 @@ class Code(WordSet):
             if not line or line.startswith("#"):
                 continue
             try:
-                ws.append(Word(line))
+                w = Word(line)
+                if ws and w.n != ws[0].n:
+                    raise ValueError(
+                        f"word length {w.n} differs from the first word's {ws[0].n}"
+                    )
             except ValueError as e:
                 raise ValueError(f"line {ln}: {e}") from None
+            ws.append(w)
         return cls(ws)
 
     @classmethod
@@ -184,5 +189,7 @@ def _vt_checksum(bits: int, n: int) -> int:
 
 def _check_t(code: Code, t: int) -> None:
     n = code.member_length
+    if n < 2:
+        raise ValueError(f"words of length {n} admit no deletion count")
     if not 1 <= t < n:
         raise ValueError(f"deletion count {t} out of range 1..{n - 1}")

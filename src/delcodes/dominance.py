@@ -21,7 +21,6 @@ from .words import (
     _ball_table,
     _check_pair,
     _deletion_masks,
-    _frozen_table,
     _images,
     _orbit_leaders,
 )
@@ -57,7 +56,6 @@ def is_dominant(u: Word, v: Word, t: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-@_frozen_table
 def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """All packed (u, v) with u dominant over v, sorted by (v, u).
 

@@ -9,7 +9,6 @@ here are pure; words and word sets are immutable and safe to share.
 from __future__ import annotations
 
 import functools
-import gc
 from itertools import chain, groupby
 from typing import Iterable, Iterator
 
@@ -310,32 +309,12 @@ def _deletion_masks(n: int) -> tuple[tuple[int, int], ...]:
     return tuple([((1 << s) - 1, -1 << s) for s in range(n)])
 
 
-def _frozen_table(fn):
-    """Build a table and freeze it with `gc.freeze()`.
-
-    The tables hold only ints in tuples, which form no cycles,
-    and live as long as the process, yet every collection pass, up to the
-    one at interpreter exit, would walk their members.  `gc.freeze()`
-    moves them, and every other object tracked at that moment, to the
-    permanent generation, which no pass walks.  So an object alive at a
-    build that later becomes cyclic garbage is never collected."""
-
-    @functools.wraps(fn)
-    def frozen(*args):
-        table = fn(*args)
-        gc.freeze()
-        return table
-
-    return frozen
-
-
 # longest word length whose ball table (all 2**n balls) is built: the pair
 # scan's range and the conflict graph's limit for reading balls from it
 BRUTE_FORCE_CAP = 14
 
 
 @functools.lru_cache(maxsize=None)
-@_frozen_table
 def _ball_table(n: int, t: int) -> tuple[tuple[int, ...], ...]:
     """Deletion balls of every length-n word, indexed by packed value,
     for 1 <= t <= n; each ball a tuple of its distinct members."""

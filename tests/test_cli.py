@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -268,6 +269,13 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path), "--t", "1", "--perfect")
         assert code == 0 and "not applicable" in out
 
+    def test_one_symbol_words_admit_no_deletion_count(self, capsys, tmp_path):
+        path = tmp_path / "one.code"
+        path.write_text("0\n1\n")
+        code, out, err = run(capsys, "check", str(path), "--t", "1")
+        assert (code, out) == (1, "")
+        assert "words of length 1 admit no deletion count" in err
+
 
 class TestSearch:
     def test_text_output(self, capsys):
@@ -418,6 +426,26 @@ class TestUsage:
             assert proc.stderr.read() == ""
 
 
+class TestCollector:
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "5", "--t", "1"],
+        ["verify", "--n", "5", "--t", "1"],
+        ["check", "FILE", "--t", "1", "--basic"],
+        ["ball", "0110", "--t", "1"],
+        ["dist", "0110", "1001"],
+        ["dominate", "0110", "0101", "--t", "1"],
+        ["vt", "--n", "5", "--a", "0"],
+        ["enumerate", "--n", "5", "--t", "1", "--method", "closed"],
+    ])
+    def test_every_job_freezes_the_heap(self, capsys, tmp_path, argv):
+        # the one freeze is in main, so the jobs that build no table get it too
+        path = tmp_path / "vt5.code"
+        path.write_text(vt_code(5, 0).to_text())
+        frozen = gc.get_freeze_count()
+        code, _, _ = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+        assert code == 0 and gc.get_freeze_count() > frozen
+
+
 class TestJsonDiscipline:
     @pytest.mark.parametrize(
         "argv",
@@ -544,18 +572,19 @@ class TestColdStart:
         assert doc["optimum"] == 16 and doc["exhausted"]
 
     def test_pair_tables_leave_the_collected_generations(self):
-        # a fresh process, so no earlier freeze can hide a missing one
+        # a fresh process, with no freeze: the first collection pass stops
+        # tracking the rows and pairs, tuples of ints
         out = self.python(
             "-c",
             "import gc\n"
             "from delcodes.dominance import _dominant_pairs_packed\n"
             "from delcodes.words import _ball_table\n"
-            "_dominant_pairs_packed(10, 2)\n"
-            "tracked = {id(o) for o in gc.get_objects()}\n"
+            "pairs = _dominant_pairs_packed(10, 2)\n"
             "balls = _ball_table(10, 2)\n"
-            "print(len(balls), sum(id(b) in tracked for b in balls))",
+            "gc.collect()\n"
+            "print(len(balls), len(pairs), sum(map(gc.is_tracked, balls + pairs)))",
         )
-        assert out.split() == ["1024", "0"]
+        assert out.split() == ["1024", "394", "0"]
 
     def test_unions_leave_no_tuples_on_the_free_lists(self):
         # unpacking a bare map into set().union left about 400 KB of

@@ -322,8 +322,9 @@ class TestCodeFileFormat:
             Code.from_text("# fine\n010\n01x\n")
 
     def test_mixed_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            Code.from_text("010\n0100\n")
+        msg = "line 4: word length 4 differs from the first word's 3"
+        with pytest.raises(ValueError, match=msg):
+            Code.from_text("# code\n010\n\n0100\n011\n")
 
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from delcodes import (
     run_length_encode,
     weight,
 )
+from delcodes.dominance import _dominant_pairs_packed
 from delcodes.words import (
     _ball_packed,
     _ball_table,
@@ -273,22 +274,29 @@ class TestBallTables:
         table = _ball_table(13, 1)
         assert len({id(y) for row in table for y in row}) <= 1 << 12
 
-    def test_builds_freeze_their_tables(self):
+    def test_builds_need_no_freeze(self):
+        # rows and pairs are tuples of ints, which the first collection pass
+        # to reach them stops tracking; a pass untracks a tuple only after
+        # its members, so a table's outer tuple may need a second one
         was = gc.isenabled()
         try:
             for state in (True, False):
                 (gc.enable if state else gc.disable)()
                 # the uncached builds, on success and on error
                 frozen = gc.get_freeze_count()
-                table = _ball_table.__wrapped__(5, 2)
-                assert gc.isenabled() is state
-                # the new table sits in the permanent generation
-                assert gc.get_freeze_count() > frozen
-                tracked = {id(o) for o in gc.get_objects()}
-                assert not any(id(ball) in tracked for ball in table)
+                tables = [
+                    _ball_table.__wrapped__(13, 1),
+                    _ball_table.__wrapped__(12, 3),
+                    _dominant_pairs_packed.__wrapped__(12, 3),
+                ]
                 with pytest.raises(ValueError):
                     _ball_table.__wrapped__(-1, 1)
                 assert gc.isenabled() is state
+                assert gc.get_freeze_count() == frozen
+                gc.collect()
+                assert not any(gc.is_tracked(row) for table in tables for row in table)
+                gc.collect()
+                assert not any(map(gc.is_tracked, tables))
         finally:
             (gc.enable if was else gc.disable)()
 
