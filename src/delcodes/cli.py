@@ -32,14 +32,6 @@ def _load(*names: str) -> None:
         globals().setdefault(name, getattr(package, name))
 
 
-def __getattr__(name: str):
-    # the library names are attributes of this module before any handler runs
-    if name not in sys.modules[__package__].__all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(name)
-    return globals()[name]
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

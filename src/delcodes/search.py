@@ -334,7 +334,7 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     config.validate()
     start = time.monotonic()
     deadline = start + config.time_budget if config.time_budget else None
-    graph, stack, best_chosen, upper, cliques = _root(config)
+    graph, open0, chosen0, stack, best_chosen, upper, cliques = _root(config)
     best_size = best_chosen.bit_count()
     adj = graph.adj
     procs = min(config.workers, _cpu_count())
@@ -370,7 +370,7 @@ def max_code_size(config: SearchConfig) -> SearchResult:
                     best_size, best_chosen = size, chosen
     if config.canonical_witness and exhausted:
         best_chosen = _canonical_witness(
-            graph, config.force_constants, best_size, deadline, cliques
+            graph, open0, chosen0, best_size, deadline, cliques
         )
 
     witness = Code._from_packed(
@@ -397,20 +397,35 @@ def _cpu_count() -> int:
 
 
 def _root(config: SearchConfig):
-    """The root step of every search: (graph, roots, seed, upper, cliques).
+    """The root step of every search: (graph, open0, chosen0, roots, seed,
+    upper, cliques).
 
-    The graph is prepared in search order (see _prepare); the roots are its
-    orbit roots (see _orbit_roots), each orbit read from its words (see
-    words._images) as it is walked; the seed is the chosen mask of the
-    starting solution from them (see _initial_incumbent); upper and
-    cliques are the proved bound and the certificate (see _root_bound).
+    The graph holds the candidates, ascending by open degree at the root,
+    ties by packed value: greedy clique partitions in this order grow each
+    class from the vertices with the fewest conflicts (the order of MCQ,
+    Tomita et al., seen from the complement graph), which keeps the search
+    tree small.  open0 and chosen0 are its root masks (see _root_state);
+    the roots are its orbit roots (see _orbit_roots), each orbit read from
+    its words (see words._images) as it is walked; the seed is the chosen
+    mask of the starting solution from them (see _initial_incumbent); upper
+    and cliques are the proved bound and the certificate (see _root_bound).
     Complement, reversal and reverse complement are automorphisms of every
     search graph: the dominance relation commutes with them, so the
     candidates, the forced words and the conflicts are all mapped onto
     themselves, and some image of every code lies in the roots."""
-    graph, open0, chosen0 = _prepare(config)
-    weights = stored_weights(config.n, config.t)
-    upper, cliques = _root_bound(graph, open0, chosen0, weights)
+    packed = build_conflict_graph(
+        build_candidates(config.n, config.t, config.basic_only), config.t
+    )
+    adj = packed.adj
+    open0, _ = _root_state(packed, config.force_constants)
+    order = sorted(range(len(packed)), key=lambda i: ((adj[i] & open0).bit_count(), i))
+    verts = tuple(packed.vertices[i] for i in order)
+    del packed, adj, order  # one graph at a time: the packed one goes first
+    graph = _graph_on(verts, config.t)
+    open0, chosen0 = _root_state(graph, config.force_constants)
+    upper, cliques = _root_bound(
+        graph, open0, chosen0, stored_weights(config.n, config.t)
+    )
     n = graph.word_length
     index = graph._index
 
@@ -421,7 +436,8 @@ def _root(config: SearchConfig):
         return mask
 
     roots = _orbit_roots(graph.adj, open0, chosen0, upper, orbit)
-    return graph, roots, _initial_incumbent(graph, roots), upper, cliques
+    seed = _initial_incumbent(graph, roots)
+    return graph, open0, chosen0, roots, seed, upper, cliques
 
 
 def _root_bound(
@@ -453,7 +469,7 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     deadline = time.monotonic() + config.time_budget if config.time_budget else None
     # one image of every optimum suffices: the classes are orbits, and the
     # dominant words are mapped onto themselves
-    graph, roots, seed, upper, cliques = _root(config)
+    graph, _, _, roots, seed, upper, cliques = _root(config)
     found: list[int] = []
     *_, exhausted = _solve_stack(
         graph.adj, roots, seed.bit_count() - 1, 0, deadline, upper, cliques, found
@@ -508,25 +524,6 @@ def _initial_incumbent(
     return best
 
 
-def _prepare(config: SearchConfig):
-    """Candidate graph in search order plus the root state: (graph, open
-    mask, chosen mask).
-
-    The vertices ascend by open degree at the root, ties by packed value.
-    Greedy clique partitions in this order grow each class from the vertices
-    with the fewest conflicts (the order of MCQ, Tomita et al., seen from the
-    complement graph), which keeps the search tree small."""
-    candidates = build_candidates(config.n, config.t, config.basic_only)
-    packed = build_conflict_graph(candidates, config.t)
-    adj = packed.adj
-    open0, _ = _root_state(packed, config.force_constants)
-    order = sorted(range(len(packed)), key=lambda i: ((adj[i] & open0).bit_count(), i))
-    verts = tuple(packed.vertices[i] for i in order)
-    del packed, adj  # one graph at a time: the packed one goes first
-    graph = _graph_on(verts, config.t)
-    return (graph, *_root_state(graph, config.force_constants))
-
-
 def _root_state(graph: ConflictGraph, force_constants: bool) -> tuple[int, int]:
     """Open and chosen masks at the root: forcing takes the two constant
     words, whose balls {0^(n-t)} and {1^(n-t)} are disjoint for t < n, and
@@ -542,25 +539,25 @@ def _root_state(graph: ConflictGraph, force_constants: bool) -> tuple[int, int]:
 
 def _canonical_witness(
     graph: ConflictGraph,
-    force_constants: bool,
+    om: int,
+    chosen: int,
     optimum: int,
     deadline: float | None,
     cliques: tuple[int, tuple[tuple[int, int], ...]] | None,
 ) -> int:
     """Optimum solution (chosen mask) of the search graph least in packed
-    order, fixed vertex by vertex from the root state (see _root_state): the
-    smallest optimal code among the candidates, and under dominance pruning
-    the smallest optimal basic code.  Packed order does not follow the
-    labels, so the witness is the same code under any labelling.  Each
-    step is a find search from the one subproblem (open mask, chosen mask
-    with v, optimum), so one that succeeds returns an optimal code that
-    extends the choice so far.
+    order, fixed vertex by vertex from the root's open and chosen masks (see
+    _root): the smallest optimal code among the candidates, and under
+    dominance pruning the smallest optimal basic code.  Packed order does
+    not follow the labels, so the witness is the same code under any
+    labelling.  Each step is a find search from the one subproblem (open
+    mask, chosen mask with v, optimum), so one that succeeds returns an
+    optimal code that extends the choice so far.
 
     A vertex that no optimum holds together with the choice so far fits no
     later, larger choice either, so it leaves the open set.  Raises
     SearchBudgetExceeded when the deadline passes first."""
     adj = graph.adj
-    om, chosen = _root_state(graph, force_constants)
     for v in sorted(range(len(graph)), key=lambda i: graph.vertices[i].bits):
         if chosen.bit_count() >= optimum:
             break

@@ -6,12 +6,23 @@ code with the package, so a bug in the packed-integer paths cannot hide.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from collections import deque
 
+import pytest
 from hypothesis import strategies as st
 
 from delcodes import Word
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_the_heap():
+    """cli.main freezes the collector's heap for the rest of its process; a
+    test process runs many jobs, so the freeze is undone after each test,
+    or the garbage live at each freeze would be kept to the end."""
+    yield
+    gc.unfreeze()
 
 
 def all_strings(n: int) -> list[str]:

@@ -199,6 +199,23 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--n", "5", "--t", "3")
         assert code == 1
 
+    def test_a_wrong_row_is_reported_pair_by_pair(self, capsys, monkeypatch):
+        # the boundary-swap row read backwards: each instance claims the
+        # two-run word dominates its swap, so the true pairs go missing.  The
+        # row filter drops every instance that is not dominant, so a wrong
+        # row alone adds no pair: the filter is bypassed to let them through
+        swap = dominance.BOUNDARY_SWAP
+        backwards = swap._replace(u_runs=swap.v_runs, v_runs=swap.u_runs)
+        monkeypatch.setattr(dominance, "_ROWS", {1: (backwards,)})
+        monkeypatch.setattr(dominance, "is_dominant", lambda u, v, t: u != v)
+        code, out, _ = run(capsys, "verify", "--n", "5", "--t", "1")
+        assert code == 3
+        lines = out.splitlines()
+        assert "missing 8, spurious 8" in lines[0]
+        assert "  missing: u=00010 v=00001" in lines
+        assert "  spurious: u=00001 v=00010" in lines
+        assert len(lines) == 17
+
 
 class TestCheck:
     @pytest.fixture
@@ -627,14 +644,15 @@ class TestLibraryNames:
     ):
         path = tmp_path / "vt5.code"
         path.write_text(vt_code(5, 0).to_text())
-        original = getattr(cli, name)
+        original = getattr(delcodes, name)
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counting)
+        # the handler binds its names on first use and keeps one already set
+        monkeypatch.setattr(cli, name, counting, raising=False)
         code, _, _ = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
         assert code == 0 and calls
 

@@ -262,6 +262,10 @@ class TestDominatorsAndSubordinates:
         with pytest.raises(ValueError):
             dominators_of(Word.zeros(BRUTE_FORCE_CAP + 1), 1)
 
+    def test_deletion_count_above_the_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^deletion count 5 out of range 1\.\.4$"):
+            subordinates_of(Word("0101"), 5)
+
 
 class TestClosedForm:
     def test_t1_matches_brute_force(self):

@@ -36,7 +36,6 @@ from delcodes.search import (
     _canonical_witness,
     _children,
     _orbit_roots,
-    _prepare,
     _root,
     _root_bound,
     _root_state,
@@ -104,6 +103,8 @@ class TestCandidates:
         # t >= n has no pruning row
         with pytest.raises(ValueError, match="no dominance pruning"):
             build_candidates(3, 3, True)
+        with pytest.raises(ValueError, match=r"^deletion count 4 not supported \(1\.\.3\)$"):
+            build_candidates(5, 4, False)
 
 
 class TestConflictGraph:
@@ -147,6 +148,15 @@ class TestConflictGraph:
     def test_vertex_order_ascending(self):
         g = build_conflict_graph([Word("11"), Word("00"), Word("01")], 1)
         assert [str(w) for w in g.vertices] == ["00", "01", "11"]
+
+    def test_bad_candidate_lists_rejected(self):
+        five = [Word("00000"), Word("11111")]
+        with pytest.raises(ValueError, match="^candidate list must be nonempty$"):
+            build_conflict_graph([], 1)
+        with pytest.raises(ValueError, match="^candidate length 4 differs from 5$"):
+            build_conflict_graph(five + [Word("0000")], 1)
+        with pytest.raises(ValueError, match=r"^deletion count 0 out of range 1\.\.5$"):
+            build_conflict_graph(five, 0)
 
     def test_long_words_skip_the_ball_table(self, monkeypatch):
         def no_table(n, t):
@@ -290,10 +300,12 @@ class TestMaxCodeSize:
         assert " ".join(map(str, r.witness)) == CANONICAL_8_2[basic_only, force]
 
     def test_canonical_witness_respects_deadline(self):
-        graph, _, _, _, cliques = _root(SearchConfig(7, 1))
+        graph, open0, chosen0, *_, cliques = _root(SearchConfig(7, 1))
         past = time.monotonic() - 1
         with pytest.raises(SearchBudgetExceeded):
-            _canonical_witness(graph, True, KNOWN_OPTIMA[1, 7], past, cliques)
+            _canonical_witness(
+                graph, open0, chosen0, KNOWN_OPTIMA[1, 7], past, cliques
+            )
 
     @pytest.mark.parametrize("n,t", [(7, 1), (8, 2)])
     @pytest.mark.parametrize("basic_only,force", [(True, True), (False, False)])
@@ -312,9 +324,11 @@ class TestMaxCodeSize:
             return result
 
         monkeypatch.setattr(search, "_solve_stack", spy)
-        graph, _, _, _, cliques = _root(SearchConfig(n, t, basic_only, force))
+        graph, open0, chosen0, *_, cliques = _root(
+            SearchConfig(n, t, basic_only, force)
+        )
         optimum = KNOWN_OPTIMA[t, n]
-        _canonical_witness(graph, force, optimum, None, cliques)
+        _canonical_witness(graph, open0, chosen0, optimum, None, cliques)
         reached = [(pushed, r[1]) for pushed, r in calls if r[0] >= optimum]
         assert reached
         for pushed, mask in reached:
@@ -438,6 +452,20 @@ class TestMaxCodeSize:
         assert r.exhausted and r.optimum == serial.optimum
         assert r.node_count == serial.node_count
 
+    def test_a_worker_beats_the_prefix_incumbent(self, serial_pool, monkeypatch):
+        # no serial prefix: the pool starts from the 10-word dive seed, and a
+        # worker's 11-word code replaces it.  Workers do not share their
+        # incumbents, so the tasks expand 6 672 nodes against 2 394 serially
+        monkeypatch.setattr(search, "_SERIAL_PREFIX_NODES", 0)
+        config = SearchConfig(9, 2, workers=2)
+        assert _seed(config)[0].bit_count() == 10
+        r = max_code_size(config)
+        assert len(serial_pool) == 1
+        assert r.exhausted and r.optimum == r.upper_bound == 11
+        assert len(r.witness) == 11 and is_t_deletion_correcting(r.witness, 2)
+        assert r.node_count == 6_672
+        assert max_code_size(SearchConfig(9, 2)).node_count == 2_394
+
     @pytest.mark.parametrize("affinity", [True, False])
     def test_one_cpu_starts_no_pool(self, serial_pool, monkeypatch, affinity):
         # the CPUs counted are those this process may run on: its affinity
@@ -458,12 +486,16 @@ class TestMaxCodeSize:
             with pytest.raises(ValueError, match="budget"):
                 SearchConfig(9, 1, time_budget=budget).validate()
 
+    def test_no_workers_rejected(self):
+        with pytest.raises(ValueError, match="^worker count must be positive$"):
+            SearchConfig(5, 1, workers=0).validate()
+
 
 def _seed(config):
     """The chosen mask of the search's starting solution, as its root step
-    builds it, and its prepared root (graph, open0, chosen0)."""
-    graph, _, seed, _, _ = _root(config)
-    return seed, (graph, *_root_state(graph, config.force_constants))
+    builds it, and its root (graph, open0, chosen0)."""
+    graph, open0, chosen0, _, seed, _, _ = _root(config)
+    return seed, (graph, open0, chosen0)
 
 
 def _greedy_independent(open_mask, adj, rank):
@@ -593,7 +625,7 @@ def test_stored_weights_bound_t1_n11_at_once(basic_only, force):
 @pytest.mark.parametrize("basic_only,force", FLAGS)
 def test_stored_row_bounds_as_tightly_as_the_simplex(n, t, basic_only, force):
     # the constant windows and the dominance keep the default root's unit c
-    graph, open0, chosen0 = _prepare(SearchConfig(n, t, basic_only, force))
+    graph, open0, chosen0 = _root(SearchConfig(n, t, basic_only, force))[:3]
     stored = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
     live = integer_weights(optimal_duals(graph, open0)) if open0 else {}
     assert stored[0] == _root_bound(graph, open0, chosen0, live)[0]
@@ -605,7 +637,7 @@ def test_stored_row_bounds_as_tightly_as_the_simplex(n, t, basic_only, force):
 def test_any_weights_certify_a_sound_bound(nt, flags, data):
     # a stale or wrong DUALS row is weak, never wrong
     n, t = nt
-    graph, open0, chosen0 = _prepare(SearchConfig(n, t, *flags))
+    graph, open0, chosen0 = _root(SearchConfig(n, t, *flags))[:3]
     size = 1 << (n - t)
     weights = dict(enumerate(
         data.draw(st.lists(st.integers(-3, 40), min_size=size, max_size=size))
@@ -629,7 +661,7 @@ def test_certify_keeps_one_container_per_weighted_word(basic_only, force):
     # no two of them share a mask at any stored root
     for t, cap in SEARCH_CAPS.items():
         for n in range(t + 1, cap + 1):
-            graph, open0, _ = _prepare(SearchConfig(n, t, basic_only, force))
+            graph, open0, _ = _root(SearchConfig(n, t, basic_only, force))[:3]
             if not open0:
                 continue
             weights = rows.stored_weights(n, t)
@@ -678,7 +710,7 @@ def test_certificate_matches_the_ball_walk(basic_only, force):
         )
 
     for n, t in sorted(_root_data.DUALS):
-        graph, open0, _ = _prepare(SearchConfig(n, t, basic_only, force))
+        graph, open0, _ = _root(SearchConfig(n, t, basic_only, force))[:3]
         weights = rows.stored_weights(n, t)
         expected = by_words(graph, _ball_walk_certificate(graph, open0, weights))
         assert by_words(graph, certify(graph, open0, weights)) == expected, (n, t)
@@ -688,8 +720,7 @@ def test_certificate_matches_the_ball_walk(basic_only, force):
 def test_certificate_order_leaves_the_tree_unchanged(n, t):
     # the node test stops at the first container that settles it, and every
     # weight is positive, so whether it prunes does not depend on the order
-    graph, roots, _, upper, (unit, containers) = _root(SearchConfig(n, t))
-    _, chosen0 = _root_state(graph, True)
+    graph, _, chosen0, roots, _, upper, (unit, containers) = _root(SearchConfig(n, t))
     size0 = chosen0.bit_count()
     shuffled = list(containers)
     random.Random(n * 10 + t).shuffle(shuffled)
@@ -715,12 +746,12 @@ class TestRootBound:
     def test_certified_bound_covers_known_optimum(self, basic_only, force):
         for (t, n), optimum in KNOWN_OPTIMA.items():
             config = SearchConfig(n, t, basic_only=basic_only, force_constants=force)
-            graph, open0, chosen0 = _prepare(config)
+            graph, open0, chosen0 = _root(config)[:3]
             upper, _ = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
             assert upper >= optimum, (n, t)
 
     def test_lp_settles_where_the_greedy_cover_does_not(self):
-        graph, open0, chosen0 = _prepare(SearchConfig(8, 1))
+        graph, open0, chosen0 = _root(SearchConfig(8, 1))[:3]
         assert chosen0.bit_count() + len(_clique_partition(open0, graph.adj)) == 46
         assert _root_bound(graph, open0, chosen0, rows.stored_weights(8, 1))[0] == 30
 
@@ -732,7 +763,7 @@ class TestRootBound:
         # is no looser than the cover, and where certify proves nothing no
         # vertex is open
         for n, t in sorted(_root_data.DUALS):
-            graph, open0, chosen0 = _prepare(SearchConfig(n, t, basic_only, force))
+            graph, open0, chosen0 = _root(SearchConfig(n, t, basic_only, force))[:3]
             size0 = chosen0.bit_count()
             weights = rows.stored_weights(n, t)
             upper, cliques = _root_bound(graph, open0, chosen0, weights)
@@ -746,7 +777,7 @@ class TestRootBound:
     @pytest.mark.parametrize("n,t", [(7, 1), (8, 1), (9, 2), (10, 3)])
     def test_every_simplex_iterate_certifies(self, n, t):
         # the optimal duals, rounded, certify the known optimum
-        graph, open0, chosen0 = _prepare(SearchConfig(n, t))
+        graph, open0, chosen0 = _root(SearchConfig(n, t))[:3]
         cliques = certify(graph, open0, integer_weights(optimal_duals(graph, open0)))
         assert cliques is not None
         unit, containers = cliques
@@ -756,7 +787,7 @@ class TestRootBound:
     @pytest.mark.parametrize("n,t", [(5, 1), (6, 1), (7, 1), (6, 2), (8, 2), (8, 3)])
     def test_node_pruning_from_an_empty_incumbent(self, n, t):
         # no seed and no cap: every improvement must come through pruned nodes
-        graph, open0, chosen0 = _prepare(SearchConfig(n, t))
+        graph, open0, chosen0 = _root(SearchConfig(n, t))[:3]
         _, cliques = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
         best, _, _, done = _solve_stack(
             graph.adj, [(open0, chosen0, len(graph))], 0, 0, None, len(graph),
@@ -770,7 +801,7 @@ class TestRootBound:
     def test_node_bound_covers_brute_force(self, nt, flags, data):
         n, t = nt
         config = SearchConfig(n, t, basic_only=flags[0], force_constants=flags[1])
-        graph, open0, chosen0 = _prepare(config)
+        graph, open0, chosen0 = _root(config)[:3]
         upper, cliques = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
         if cliques is None:
             # no open vertex: nothing to bound beyond the forced words
@@ -791,7 +822,7 @@ class TestSearchOrder:
     @pytest.mark.parametrize("n,t", [(7, 1), (8, 2), (9, 3)])
     @pytest.mark.parametrize("basic_only,force", FLAGS)
     def test_prepared_graph_is_the_packed_graph(self, n, t, basic_only, force):
-        graph, open0, *_ = _prepare(SearchConfig(n, t, basic_only, force))
+        graph, open0, *_ = _root(SearchConfig(n, t, basic_only, force))
         packed = build_conflict_graph(build_candidates(n, t, basic_only), t)
         words = [w.bits for w in graph.vertices]
         assert sorted(words) == [w.bits for w in packed.vertices]
@@ -803,7 +834,7 @@ class TestSearchOrder:
     def test_seed_is_the_first_largest_dive(self):
         # a dive from an orbit root keeps taking its lowest open label; the
         # t=2 n=10 seed is the first of the largest dives, at 15 words
-        graph, roots, seed, _, _ = _root(SearchConfig(10, 2))
+        graph, _, _, roots, seed, _, _ = _root(SearchConfig(10, 2))
         dives = []
         for om, chosen, _ in roots:
             for v in range(len(graph)):
@@ -816,7 +847,7 @@ class TestSearchOrder:
 
     def test_root_bound_does_not_follow_the_labels(self):
         # the stored weights are keyed by word, not by label
-        graph, open0, chosen0 = _prepare(SearchConfig(9, 3, basic_only=False))
+        graph, open0, chosen0 = _root(SearchConfig(9, 3, basic_only=False))[:3]
         packed = build_conflict_graph(build_candidates(9, 3, False), 3)
         roots = ((graph, open0, chosen0), (packed, *_root_state(packed, True)))
         bounds = []
@@ -975,7 +1006,7 @@ class TestBranchAndBound:
             assert r.exhausted and r.node_count < limit, (n, t, r.node_count)
 
     def test_collect_pass_at_t1_n7(self):
-        graph, open0, chosen0 = _prepare(SearchConfig(7, 1))
+        graph, open0, chosen0 = _root(SearchConfig(7, 1))[:3]
         found: list[int] = []
         _, _, _, done = _solve_stack(
             graph.adj, [(open0, chosen0, 16)], 15, 0, None, 16, (1, ()), found
@@ -1054,7 +1085,7 @@ class TestSymmetry:
                     ), (n, t, basic_only)
                 for force in (True, False):
                     config = SearchConfig(n, t, basic_only, force)
-                    _, open0, chosen0 = _prepare(config)
+                    _, open0, chosen0 = _root(config)[:3]
                     for perm in (complement, reverse):
                         assert _image(perm, open0) == open0, config
                         assert _image(perm, chosen0) == chosen0, config
@@ -1092,8 +1123,7 @@ class TestSymmetry:
 
     def test_empty_open_root_is_collected(self):
         # t=3 n=7: the forced words block every other word and are optimal
-        graph, roots, seed, upper, cliques = _root(SearchConfig(7, 3))
-        open0, chosen0 = _root_state(graph, True)
+        graph, open0, chosen0, roots, seed, upper, cliques = _root(SearchConfig(7, 3))
         size0 = chosen0.bit_count()
         assert open0 == 0 and size0 == KNOWN_OPTIMA[3, 7]
         assert cliques is None and upper == size0 and seed == chosen0
@@ -1162,11 +1192,11 @@ class TestEnumerateOptimal:
             raise AssertionError("enumeration must not start a nested search")
 
         calls = []
-        prepare = search._prepare
+        root = search._root
 
         def counted(config):
             calls.append(config)
-            return prepare(config)
+            return root(config)
 
         passes = []
         solve = search._solve_stack
@@ -1178,7 +1208,7 @@ class TestEnumerateOptimal:
 
         monkeypatch.setattr(search, "max_code_size", refuse)
         monkeypatch.setattr(SearchConfig, "_replace", refuse)
-        monkeypatch.setattr(search, "_prepare", counted)
+        monkeypatch.setattr(search, "_root", counted)
         monkeypatch.setattr(search, "_solve_stack", solve_counted)
         codes = enumerate_optimal_codes(SearchConfig(7, 1))
         assert len(codes) == 46 and calls == [SearchConfig(7, 1)]
@@ -1192,7 +1222,7 @@ class TestEnumerateOptimal:
     def test_certificate_keeps_every_collected_code(self, n, t):
         # the certificate prunes only subtrees without a code of the optimum's
         # size, so the collection gathers the same masks with it as without
-        graph, roots, _, upper, cliques = _root(SearchConfig(n, t))
+        graph, _, _, roots, _, upper, cliques = _root(SearchConfig(n, t))
         optimum = KNOWN_OPTIMA[t, n]
         gathered = []
         for certificate in (cliques, (1, ())):
@@ -1210,7 +1240,7 @@ class TestEnumerateOptimal:
     def test_collect_from_any_floor_below_the_optimum(self, n, t, basic, force):
         # a code two or more above the floor lifts it, and a recorded node is
         # expanded, so a floor that falls short gathers the same masks
-        graph, roots, _, upper, cliques = _root(
+        graph, _, _, roots, _, upper, cliques = _root(
             SearchConfig(n, t, basic_only=basic, force_constants=force)
         )
         optimum = KNOWN_OPTIMA[t, n]

@@ -58,6 +58,10 @@ class TestWordBasics:
         with pytest.raises(ValueError):
             Word.from_bits(0, MAX_LEN + 1)
 
+    def test_ones_past_the_length_limit_rejected(self):
+        with pytest.raises(ValueError, match=f"^word length out of range: {MAX_LEN + 1}$"):
+            Word.ones(MAX_LEN + 1)
+
     def test_from_bits_range(self):
         with pytest.raises(ValueError):
             Word.from_bits(4, 2)
