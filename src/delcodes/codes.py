@@ -156,9 +156,15 @@ def are_equivalent(c1: Code, c2: Code) -> bool:
     n = c1.member_length
     if n != c2.member_length:
         raise ValueError(f"length mismatch: {n} != {c2.member_length}")
-    orbits = [_images(bits, n) for bits in c1.packed()]
-    target = frozenset(c2.packed())
-    return any(frozenset(o[k] for o in orbits) == target for k in range(4))
+    return _least_image(n, c1.packed()) == _least_image(n, c2.packed())
+
+
+def _least_image(n: int, packed: Iterable[int]) -> tuple[int, ...]:
+    """The least sorted image of a code under complement, reversal and both:
+    one key per equivalence class, as the four maps form a group.  Packed
+    order is string order at one length."""
+    orbits = [_images(bits, n) for bits in packed]
+    return min(tuple(sorted(o[k] for o in orbits)) for k in range(4))
 
 
 def vt_code(n: int, a: int) -> Code:

@@ -25,8 +25,8 @@ kept subordinate's ball, so it weighs at least c too, and the default
 certificate is unchanged.
 
 The search re-checks what it reads, so a stale or wrong row is weak, never
-wrong: certify derives a sound bound from any weights, and pruning checks
-every pair against the ball table.
+wrong: search._root_bound derives a sound bound from any weights, and
+pruning checks every pair against the ball table.
 
 The search module and tools/root_data.py import this one.  Neither the
 package nor the CLI imports the search when it starts, so a job other than
@@ -36,7 +36,6 @@ search compiles neither this module nor the rows.
 from __future__ import annotations
 
 import functools
-from typing import Mapping
 
 from . import _root_data
 from .words import _ball_table, _images
@@ -56,36 +55,6 @@ def stored_weights(n: int, t: int) -> dict[int, int]:
     """The stored root LP weights of (n, t) inside the search caps, t < n,
     for any flags."""
     return decode(_root_data.DUALS[n, t])
-
-
-def certify(
-    graph, open_mask: int, weights: Mapping[int, int]
-) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """Integer certificate from weights W_y over the open vertices.
-
-    Returns (c, containers): c is the least weight of any open vertex ball,
-    and containers pairs, for each positive-weight window y of
-    graph.windows that meets the open set, its mask of open vertices with
-    the weight W_y, in graph.windows order.  A code among the vertices of
-    an open mask om has at most sum(w for mask, w in containers if mask &
-    om) // c words.  Every weight is positive, so whether that sum beats a
-    bound does not depend on the order.  Words missing from `weights`, or
-    given a weight below 1, weigh nothing, so any mapping gives a sound
-    bound.  None when some open vertex ball carries no weight, or the open
-    mask is empty: either proves nothing.
-    """
-    balls = _ball_table(graph.word_length, graph.t)
-    weight = {y: w for y, w in weights.items() if w > 0}
-    verts = graph.vertices
-    open_balls = [balls[v.bits] for i, v in enumerate(verts) if open_mask >> i & 1]
-    c = min((sum(weight.get(y, 0) for y in ball) for ball in open_balls), default=0)
-    if c <= 0:
-        return None
-    return c, tuple(
-        (mask & open_mask, weight[y])
-        for y, mask in graph.windows.items()
-        if y in weight and mask & open_mask
-    )
 
 
 @functools.lru_cache(maxsize=None)

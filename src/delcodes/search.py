@@ -21,12 +21,13 @@ search slower, never wrong.
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
-from .codes import Code, vt_code
-from .rows import certify, pruning, stored_weights
+from .codes import Code, _least_image, vt_code
+from .rows import pruning, stored_weights
 from .words import BRUTE_FORCE_CAP, Word, _ball_packed, _ball_table, _images
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
@@ -35,6 +36,8 @@ ENUMERATION_CAP = 7
 # about twice the pool's start cost in nodes (see README), as two processes
 # at best halve the nodes left, so the pool pays only on a larger remainder
 _SERIAL_PREFIX_NODES = 4096
+# (c, ((mask, weight), ...)): the node certificate of a search (see _root_bound)
+Certificate = tuple[int, tuple[tuple[int, int], ...]]
 
 
 class SearchBudgetExceeded(Exception):
@@ -207,9 +210,9 @@ def _solve_stack(
     stack: list[tuple[int, int, int]],
     best_size: int,
     best_chosen: int,
-    deadline: float | None,
+    deadline: float,
     cap: int,
-    cliques: tuple[int, tuple[tuple[int, int], ...]] | None,
+    cliques: Certificate,
     found: list[int] | None = None,
     limit: int | None = None,
 ) -> tuple[int, int, int, bool]:
@@ -218,8 +221,8 @@ def _solve_stack(
     is the number of vertices in its chosen mask.
 
     Branch-and-bound: a node is pruned by the container-clique certificate
-    `cliques` = (c, ((mask, weight), ...)) from rows.certify (no pruning
-    when it is None or holds no container), and otherwise split into its
+    `cliques` = (c, ((mask, weight), ...)) from _root_bound (no pruning
+    when it holds no container), and otherwise split into its
     colour-ordered children (see _children), each stored with its bound and
     skipped when popped if that bound no longer beats the incumbent.  The
     search stops once the incumbent reaches `cap`, a proved upper bound.
@@ -240,7 +243,7 @@ def _solve_stack(
     Any vertex labelling is correct; the order of the labels decides the
     partitions and so the size of the tree.
     """
-    containers = cliques[1] if cliques else ()
+    unit, containers = cliques
     nodes = 0
     while stack:
         if best_size >= cap:
@@ -248,7 +251,7 @@ def _solve_stack(
         om, chosen, bound = stack.pop()
         if bound <= best_size:
             continue
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             return best_size, best_chosen, nodes, False
         if nodes == limit:
             stack.append((om, chosen, bound))
@@ -267,7 +270,7 @@ def _solve_stack(
             continue
         if containers:
             # prune iff (weight reachable from om) // c <= best_size - size
-            room = (best_size - size + 1) * cliques[0]
+            room = (best_size - size + 1) * unit
             for mask, w in containers:
                 if mask & om:
                     room -= w
@@ -333,7 +336,7 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     """Exact maximum cardinality of a t-deletion-correcting code of length n."""
     config.validate()
     start = time.monotonic()
-    deadline = start + config.time_budget if config.time_budget else None
+    deadline = start + (config.time_budget or math.inf)
     graph, open0, chosen0, stack, best_chosen, upper, cliques = _root(config)
     best_size = best_chosen.bit_count()
     adj = graph.adj
@@ -345,7 +348,7 @@ def max_code_size(config: SearchConfig) -> SearchResult:
         adj, stack, best_size, best_chosen, deadline, upper, cliques,
         limit=_SERIAL_PREFIX_NODES if procs > 1 else None,
     )
-    if not exhausted and (deadline is None or time.monotonic() <= deadline):
+    if not exhausted and time.monotonic() <= deadline:
         # one subproblem per task, in pop order, each worker from the
         # prefix's incumbent size alone; the graph and the certificate go to
         # each worker once, not per task
@@ -441,17 +444,38 @@ def _root(config: SearchConfig):
 
 
 def _root_bound(
-    graph: ConflictGraph, open0: int, chosen0: int, weights: dict[int, int]
-) -> tuple[int, tuple[int, tuple[tuple[int, int], ...]] | None]:
+    graph: ConflictGraph, open0: int, chosen0: int, weights: Mapping[int, int]
+) -> tuple[int, Certificate]:
     """Proved upper bound on the optimum over the root's open and chosen
-    masks, and the node certificate for _solve_stack, from the integer LP
-    weights given: None when they prove nothing, as at a root with no open
-    vertex, and then the bound counts every open vertex."""
+    masks, and the node certificate (c, containers) for _solve_stack, from
+    integer LP weights W_y (see rows.py).
+
+    c is the least weight of any open vertex ball, and containers pairs, for
+    each positive-weight window y of graph.windows that meets the open set,
+    its mask of open vertices with the weight W_y, in graph.windows order.
+    A code among the vertices of an open mask om has at most sum(w for mask,
+    w in containers if mask & om) // c words.  Every weight is positive, so
+    whether that sum beats a bound does not depend on the order.  Words
+    missing from `weights`, or given a weight below 1, weigh nothing, so any
+    mapping gives a sound bound.  When some open vertex ball weighs nothing,
+    or no vertex is open, the weights prove nothing: the certificate is
+    (1, ()), which prunes no node, and the bound counts every open vertex."""
     size0 = chosen0.bit_count()
-    cliques = certify(graph, open0, weights)
-    if cliques is None:
-        return size0 + open0.bit_count(), None
-    return size0 + sum(w for _, w in cliques[1]) // cliques[0], cliques
+    balls = _ball_table(graph.word_length, graph.t)
+    weight = {y: w for y, w in weights.items() if w > 0}
+    c = min(
+        (sum(weight.get(y, 0) for y in balls[v.bits])
+         for i, v in enumerate(graph.vertices) if open0 >> i & 1),
+        default=0,
+    )
+    if c <= 0:
+        return size0 + open0.bit_count(), (1, ())
+    containers = tuple(
+        (mask & open0, weight[y])
+        for y, mask in graph.windows.items()
+        if y in weight and mask & open0
+    )
+    return size0 + sum(w for _, w in containers) // c, (c, containers)
 
 
 def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
@@ -466,7 +490,7 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
         raise ValueError(
             f"length {config.n} exceeds enumeration cap {ENUMERATION_CAP}"
         )
-    deadline = time.monotonic() + config.time_budget if config.time_budget else None
+    deadline = time.monotonic() + (config.time_budget or math.inf)
     # one image of every optimum suffices: the classes are orbits, and the
     # dominant words are mapped onto themselves
     graph, _, _, roots, seed, upper, cliques = _root(config)
@@ -485,11 +509,9 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     dominant = pruning(n, config.t)
     keys: set[tuple[int, ...]] = set()
     for chosen in found:
-        orbits = [_images(graph.vertices[i].bits, n) for i in _bits_of(chosen)]
-        if any(o[0] in dominant for o in orbits):
-            continue
-        # least sorted image; packed order is string order at one length
-        keys.add(min(tuple(sorted(o[k] for o in orbits)) for k in range(4)))
+        words = [graph.vertices[i].bits for i in _bits_of(chosen)]
+        if not any(bits in dominant for bits in words):
+            keys.add(_least_image(n, words))
     return [Code._from_packed(n, key) for key in sorted(keys)]
 
 
@@ -542,8 +564,8 @@ def _canonical_witness(
     om: int,
     chosen: int,
     optimum: int,
-    deadline: float | None,
-    cliques: tuple[int, tuple[tuple[int, int], ...]] | None,
+    deadline: float,
+    cliques: Certificate,
 ) -> int:
     """Optimum solution (chosen mask) of the search graph least in packed
     order, fixed vertex by vertex from the root's open and chosen masks (see

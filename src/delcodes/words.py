@@ -9,6 +9,7 @@ here are pure; words and word sets are immutable and safe to share.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from itertools import chain, groupby
 from typing import Iterable, Iterator
 
@@ -91,7 +92,7 @@ class Word:
 class WordSet:
     """Deduplicated set of equal-length words, iterated in ascending packed order."""
 
-    __slots__ = ("member_length", "_packed", "_lookup")
+    __slots__ = ("member_length", "_packed")
 
     def __init__(self, member_length: int, members: Iterable[Word] = ()) -> None:
         packed = set()
@@ -103,7 +104,6 @@ class WordSet:
             packed.add(w.bits)
         self.member_length = member_length
         self._packed = tuple(sorted(packed))
-        self._lookup = frozenset(packed)
 
     @classmethod
     def _from_packed(cls, member_length: int, packed: Iterable[int]) -> "WordSet":
@@ -111,8 +111,7 @@ class WordSet:
         words; for a Code the caller also vouches that they are not empty."""
         s = cls.__new__(cls)
         s.member_length = member_length
-        s._lookup = frozenset(packed)
-        s._packed = tuple(sorted(s._lookup))
+        s._packed = tuple(sorted(set(packed)))
         return s
 
     def packed(self) -> tuple[int, ...]:
@@ -130,28 +129,28 @@ class WordSet:
             yield Word.from_bits(bits, n)
 
     def __contains__(self, w: object) -> bool:
-        return (
-            isinstance(w, Word)
-            and w.n == self.member_length
-            and w.bits in self._lookup
-        )
+        if not isinstance(w, Word) or w.n != self.member_length:
+            return False
+        packed = self._packed
+        i = bisect_left(packed, w.bits)
+        return i < len(packed) and packed[i] == w.bits
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, WordSet)
             and self.member_length == other.member_length
-            and self._lookup == other._lookup
+            and self._packed == other._packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.member_length, self._lookup))
+        return hash((self.member_length, self._packed))
 
     def __le__(self, other: object) -> bool:
         if not isinstance(other, WordSet):
             return NotImplemented
         return (
             self.member_length == other.member_length
-            and self._lookup <= other._lookup
+            and set(other._packed).issuperset(self._packed)
         )
 
     def __repr__(self) -> str:

@@ -372,6 +372,18 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--n", "9", "--t", "1", "--budget", "nan")
         assert code == 1 and not out and "budget" in err
 
+    def test_unlimited_budget_changes_no_answer(self, capsys):
+        # --budget 0 and --budget inf both mean no deadline, and the default
+        # 600 s never binds on these jobs
+        for job in (("--n", "9", "--t", "2"), ("--n", "7", "--t", "1", "--enumerate")):
+            docs = []
+            for budget in ((), ("--budget", "0"), ("--budget", "inf")):
+                code, out, _ = run(capsys, "search", *job, *budget, "--json")
+                doc = json.loads(out)
+                doc.pop("wall_time_ms", None)
+                docs.append((code, doc))
+            assert docs[0][0] == 0 and docs[1] == docs[2] == docs[0], job
+
     def test_threads_flag(self, capsys):
         _, a, _ = run(capsys, "search", "--n", "5", "--t", "1", "--json")
         _, b, _ = run(

@@ -289,6 +289,32 @@ class TestClosedForm:
             for f in gen.filtered
         )
 
+    def test_rejected_row_instances_at_t2(self):
+        # both instances of interior:15 fail the definition at every n >= 5,
+        # so that row gives pairs only at n = 4; interior:17 and interior:18
+        # fail for exactly 1 <= m <= n - 3; every other instance passes
+        assert any(
+            "interior:15" in tags
+            for tags in closed_form_generation(4, 2).provenance.values()
+        )
+        for n in range(5, 21):
+            gen = closed_form_generation(n, 2)
+            expected = {("interior:15", None, p) for p in (0, 1)} | {
+                (f"interior:{row}", m, p)
+                for row in (17, 18) for m in range(1, n - 2) for p in (0, 1)
+            }
+            rejected = [(f.source, f.m, f.p) for f in gen.filtered]
+            assert len(rejected) == len(set(rejected)), n
+            assert set(rejected) == expected, n
+            for f in gen.filtered:
+                if f.source == "interior:15":
+                    p, q = str(f.p), str(1 - f.p)
+                    assert str(f.u) == p * (n - 4) + q + p * 2 + q, n
+                    assert str(f.v) == p * (n - 3) + q * 2 + p, n
+            assert not any(
+                "interior:15" in tags for tags in gen.provenance.values()
+            ), n
+
     def test_every_generated_pair_is_dominant(self):
         for n, t in [(4, 1), (7, 1), (5, 2), (7, 2)]:
             for p in generate_closed_form(n, t):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import os
 import random
 import time
@@ -29,7 +30,6 @@ from delcodes import (
 )
 from delcodes import _root_data, dominance, rows, search
 from delcodes.dominance import _dominant_pairs_packed
-from delcodes.rows import certify
 from delcodes.search import (
     SEARCH_CAPS,
     _bits_of,
@@ -328,7 +328,7 @@ class TestMaxCodeSize:
             SearchConfig(n, t, basic_only, force)
         )
         optimum = KNOWN_OPTIMA[t, n]
-        _canonical_witness(graph, open0, chosen0, optimum, None, cliques)
+        _canonical_witness(graph, open0, chosen0, optimum, math.inf, cliques)
         reached = [(pushed, r[1]) for pushed, r in calls if r[0] >= optimum]
         assert reached
         for pushed, mask in reached:
@@ -642,17 +642,18 @@ def test_any_weights_certify_a_sound_bound(nt, flags, data):
     weights = dict(enumerate(
         data.draw(st.lists(st.integers(-3, 40), min_size=size, max_size=size))
     ))
-    cliques = certify(graph, open0, weights) if open0 else None
+    upper, cliques = _root_bound(graph, open0, chosen0, weights)
     # a weight below 1 weighs nothing: negative weights would break the bound
     positive = {y: w for y, w in weights.items() if w > 0}
-    assert cliques == (certify(graph, open0, positive) if open0 else None)
-    if cliques is not None:
-        unit, containers = cliques
-        # the optima up to n = 6 are pinned by brute force
-        assert (
-            chosen0.bit_count() + sum(w for _, w in containers) // unit
-            >= KNOWN_OPTIMA[t, n]
-        )
+    assert cliques == _root_bound(graph, open0, 0, positive)[1]
+    unit, containers = cliques
+    if containers:
+        assert upper == chosen0.bit_count() + sum(w for _, w in containers) // unit
+    else:
+        # no certificate: the bound counts every open vertex
+        assert unit == 1 and upper == (chosen0 | open0).bit_count()
+    # the optima up to n = 6 are pinned by brute force
+    assert upper >= KNOWN_OPTIMA[t, n]
 
 
 @pytest.mark.parametrize("basic_only,force", FLAGS)
@@ -672,13 +673,14 @@ def test_certify_keeps_one_container_per_weighted_word(basic_only, force):
                         masks[int(y, 2)] = masks.get(int(y, 2), 0) | 1 << i
             expected = [(m, weights[y]) for y, m in masks.items() if weights.get(y, 0) > 0]
             assert len({m for m, _ in expected}) == len(expected), (n, t)
-            _, containers = certify(graph, open0, weights)
+            _, containers = _root_bound(graph, open0, 0, weights)[1]
             assert sorted(containers) == sorted(expected), (n, t)
 
 
 def _ball_walk_certificate(graph, open_mask, weights):
-    """The certificate as certify built it before the graph kept its window
-    map: the open balls walked once for c and once more for the masks."""
+    """The certificate as _root_bound built it before the graph kept its
+    window map: the open balls walked once for c and once more for the
+    masks."""
     balls = _ball_table(graph.word_length, graph.t)
     vertices = [
         (i, w.bits) for i, w in enumerate(graph.vertices) if open_mask >> i & 1
@@ -688,7 +690,7 @@ def _ball_walk_certificate(graph, open_mask, weights):
         (sum(weight.get(y, 0) for y in balls[x]) for _, x in vertices), default=0
     )
     if c <= 0:
-        return None
+        return 1, ()
     masks: dict[int, int] = {}
     for i, x in vertices:
         for y in balls[x]:
@@ -701,8 +703,6 @@ def _ball_walk_certificate(graph, open_mask, weights):
 def test_certificate_matches_the_ball_walk(basic_only, force):
     # the same c and the same containers, each as its set of words
     def by_words(graph, cliques):
-        if cliques is None:
-            return None
         unit, containers = cliques
         return unit, sorted(
             (sorted(graph.vertices[i].bits for i in _bits_of(mask)), w)
@@ -713,7 +713,8 @@ def test_certificate_matches_the_ball_walk(basic_only, force):
         graph, open0, _ = _root(SearchConfig(n, t, basic_only, force))[:3]
         weights = rows.stored_weights(n, t)
         expected = by_words(graph, _ball_walk_certificate(graph, open0, weights))
-        assert by_words(graph, certify(graph, open0, weights)) == expected, (n, t)
+        certificate = _root_bound(graph, open0, 0, weights)[1]
+        assert by_words(graph, certificate) == expected, (n, t)
 
 
 @pytest.mark.parametrize("n,t", [(7, 1), (9, 2)])
@@ -733,7 +734,7 @@ def test_certificate_order_leaves_the_tree_unchanged(n, t):
         for order in (containers, containers[::-1], tuple(shuffled)):
             kept = None if found is None else []
             best, _, nodes, done = _solve_stack(
-                graph.adj, list(roots), floor, chosen0, None, upper, (unit, order),
+                graph.adj, list(roots), floor, chosen0, math.inf, upper, (unit, order),
                 kept,
             )
             runs.append((best, nodes, done, kept and sorted(kept)))
@@ -760,17 +761,16 @@ class TestRootBound:
         self, basic_only, force
     ):
         # the root bound is the certificate alone: at every stored root it
-        # is no looser than the cover, and where certify proves nothing no
-        # vertex is open
+        # is no looser than the cover, and where the weights prove nothing
+        # no vertex is open
         for n, t in sorted(_root_data.DUALS):
             graph, open0, chosen0 = _root(SearchConfig(n, t, basic_only, force))[:3]
             size0 = chosen0.bit_count()
             weights = rows.stored_weights(n, t)
-            upper, cliques = _root_bound(graph, open0, chosen0, weights)
-            if cliques is None:
-                assert open0 == 0 and upper == size0, (n, t)
+            upper, (unit, containers) = _root_bound(graph, open0, chosen0, weights)
+            if not containers:
+                assert open0 == 0 and upper == size0 and unit == 1, (n, t)
             else:
-                unit, containers = cliques
                 assert upper == size0 + sum(w for _, w in containers) // unit
             assert upper <= size0 + len(_clique_partition(open0, graph.adj)), (n, t)
 
@@ -778,9 +778,9 @@ class TestRootBound:
     def test_every_simplex_iterate_certifies(self, n, t):
         # the optimal duals, rounded, certify the known optimum
         graph, open0, chosen0 = _root(SearchConfig(n, t))[:3]
-        cliques = certify(graph, open0, integer_weights(optimal_duals(graph, open0)))
-        assert cliques is not None
-        unit, containers = cliques
+        weights = integer_weights(optimal_duals(graph, open0))
+        unit, containers = _root_bound(graph, open0, 0, weights)[1]
+        assert containers
         size0 = chosen0.bit_count()
         assert size0 + sum(w for _, w in containers) // unit >= KNOWN_OPTIMA[t, n]
 
@@ -790,7 +790,7 @@ class TestRootBound:
         graph, open0, chosen0 = _root(SearchConfig(n, t))[:3]
         _, cliques = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
         best, _, _, done = _solve_stack(
-            graph.adj, [(open0, chosen0, len(graph))], 0, 0, None, len(graph),
+            graph.adj, [(open0, chosen0, len(graph))], 0, 0, math.inf, len(graph),
             cliques,
         )
         assert done and best == KNOWN_OPTIMA[t, n]
@@ -802,12 +802,12 @@ class TestRootBound:
         n, t = nt
         config = SearchConfig(n, t, basic_only=flags[0], force_constants=flags[1])
         graph, open0, chosen0 = _root(config)[:3]
-        upper, cliques = _root_bound(graph, open0, chosen0, rows.stored_weights(n, t))
-        if cliques is None:
+        weights = rows.stored_weights(n, t)
+        upper, (unit, containers) = _root_bound(graph, open0, chosen0, weights)
+        if not containers:
             # no open vertex: nothing to bound beyond the forced words
-            assert open0 == 0 and upper == chosen0.bit_count()
+            assert open0 == 0 and upper == chosen0.bit_count() and unit == 1
             return
-        unit, containers = cliques
         indices = [i for i in range(len(graph)) if open0 >> i & 1]
         chosen = data.draw(
             st.lists(st.sampled_from(indices), max_size=14, unique=True)
@@ -954,14 +954,14 @@ class TestBranchAndBound:
         none = (1, ())
         # maximise from an empty incumbent
         best, chosen, _, done = _solve_stack(
-            adj, [(full, 0, v)], 0, 0, None, v, none
+            adj, [(full, 0, v)], 0, 0, math.inf, v, none
         )
         assert done and best == optimum == chosen.bit_count()
         assert chosen in independent
         # find a set of size T: incumbent T - 1, cap T
         for size in range(1, v + 2):
             best, chosen, _, done = _solve_stack(
-                adj, [(full, 0, size)], size - 1, 0, None, size, none
+                adj, [(full, 0, size)], size - 1, 0, math.inf, size, none
             )
             assert done and (best >= size) == (size <= optimum)
             if best >= size:
@@ -969,7 +969,7 @@ class TestBranchAndBound:
         # collect every maximum set, each once
         found: list[int] = []
         _solve_stack(
-            adj, [(full, 0, optimum)], optimum - 1, 0, None, optimum, none, found
+            adj, [(full, 0, optimum)], optimum - 1, 0, math.inf, optimum, none, found
         )
         assert sorted(found) == [
             m for m in independent if m.bit_count() == optimum
@@ -1009,7 +1009,7 @@ class TestBranchAndBound:
         graph, open0, chosen0 = _root(SearchConfig(7, 1))[:3]
         found: list[int] = []
         _, _, _, done = _solve_stack(
-            graph.adj, [(open0, chosen0, 16)], 15, 0, None, 16, (1, ()), found
+            graph.adj, [(open0, chosen0, 16)], 15, 0, math.inf, 16, (1, ()), found
         )
         assert done and len(found) == len(set(found)) == 158
 
@@ -1105,16 +1105,20 @@ class TestSymmetry:
         if not om:
             assert roots == [(0, 0, v)]
         # maximise from an empty incumbent
-        best, chosen, _, done = _solve_stack(adj, list(roots), 0, 0, None, v, none)
+        best, chosen, _, done = _solve_stack(
+            adj, list(roots), 0, 0, math.inf, v, none
+        )
         assert done and best == optimum == chosen.bit_count()
         assert chosen in independent
         # a --threads worker: each root alone from an empty incumbent
         assert optimum == max(
-            _solve_stack(adj, [root], 0, 0, None, v, none)[0] for root in roots
+            _solve_stack(adj, [root], 0, 0, math.inf, v, none)[0] for root in roots
         )
         # collect reaches every orbit of maximum sets, each set at most once
         found: list[int] = []
-        _solve_stack(adj, list(roots), optimum - 1, 0, None, optimum, none, found)
+        _solve_stack(
+            adj, list(roots), optimum - 1, 0, math.inf, optimum, none, found
+        )
         maximum = {m for m in independent if m.bit_count() == optimum}
         assert len(found) == len(set(found)) and set(found) <= maximum
         assert {min(m, _image(sigma, m)) for m in found} == {
@@ -1126,11 +1130,11 @@ class TestSymmetry:
         graph, open0, chosen0, roots, seed, upper, cliques = _root(SearchConfig(7, 3))
         size0 = chosen0.bit_count()
         assert open0 == 0 and size0 == KNOWN_OPTIMA[3, 7]
-        assert cliques is None and upper == size0 and seed == chosen0
+        assert cliques == (1, ()) and upper == size0 and seed == chosen0
         assert roots == [(0, chosen0, size0)]
         found: list[int] = []
         *_, done = _solve_stack(
-            graph.adj, roots, size0 - 1, 0, None, size0, (1, ()), found
+            graph.adj, roots, size0 - 1, 0, math.inf, size0, (1, ()), found
         )
         assert done and found == [chosen0]
 
@@ -1228,7 +1232,7 @@ class TestEnumerateOptimal:
         for certificate in (cliques, (1, ())):
             found: list[int] = []
             *_, done = _solve_stack(
-                graph.adj, list(roots), optimum - 1, 0, None, optimum, certificate,
+                graph.adj, list(roots), optimum - 1, 0, math.inf, optimum, certificate,
                 found,
             )
             assert done
@@ -1248,7 +1252,7 @@ class TestEnumerateOptimal:
         for floor in sorted({0, max(optimum - 2, 0), optimum - 1}):
             found: list[int] = []
             best, *_, done = _solve_stack(
-                graph.adj, list(roots), floor, 0, None, upper, cliques, found
+                graph.adj, list(roots), floor, 0, math.inf, upper, cliques, found
             )
             assert done and best == optimum - 1, floor
             gathered.append(sorted(found))

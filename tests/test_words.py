@@ -260,8 +260,8 @@ class TestBallTables:
         assert size < 1.5e6, size
 
     def test_rows_list_the_images_in_deletion_bit_order(self):
-        # row order sets the graph's window order, certify's container
-        # order, and so decides how soon the node test's loop stops: a set
+        # row order sets the graph's window order, the root certificate's
+        # container order, and so decides how soon the node test's loop stops: a set
         # fed the images bit s = 0..n - 1
         for n in range(1, 14):
             masks = _deletion_masks(n)

@@ -29,8 +29,10 @@ sys.path.insert(0, str(SRC))
 
 from delcodes import _root_data
 from delcodes.dominance import _dominant_pairs_packed
-from delcodes.rows import certify, encode
-from delcodes.search import SEARCH_CAPS, _root_state, build_conflict_graph
+from delcodes.rows import encode
+from delcodes.search import (
+    SEARCH_CAPS, _root_bound, _root_state, build_conflict_graph,
+)
 from delcodes.words import Word, _ball_table, _images
 
 OUT = SRC / "delcodes" / "_root_data.py"
@@ -65,8 +67,9 @@ def optimal_duals(graph, open_mask: int) -> list[float]:
     of Kulkarni and Kashyap (IEEE Trans. IT 2013) over orbits under
     complement and reversal, solved by a dense float simplex whose
     right-hand side is nonnegative, so the slack basis is feasible from the
-    start.  The duals need not be exact: certify recomputes c exactly from
-    any integer weights, so the bound holds whatever the float error.
+    start.  The duals need not be exact: search._root_bound recomputes c
+    exactly from any integer weights, so the bound holds whatever the float
+    error.
     """
     n, t = graph.word_length, graph.t
     m = n - t
@@ -130,7 +133,7 @@ def optimal_duals(graph, open_mask: int) -> list[float]:
 
 def integer_weights(duals: Sequence[float]) -> dict[int, int]:
     """The positive weights W_y of float duals on the integer scale of
-    certify, keyed by packed word y."""
+    search._root_bound, keyed by packed word y."""
     weights = {}
     for y, w in enumerate(duals):
         w = round(w * _SCALE)
@@ -164,7 +167,7 @@ def computed_rows(n: int, t: int) -> tuple[dict[int, int], dict[int, int]]:
     weights, unit = {}, 1
     if open0:
         weights = integer_weights(optimal_duals(graph, open0))
-        unit, _ = certify(graph, open0, weights)
+        unit = _root_bound(graph, open0, 0, weights)[1][0]
     weights[0] = weights[(1 << (n - t)) - 1] = unit
     return weights, prune
 
@@ -179,9 +182,9 @@ force_constants on), plus the two constant windows 0...0 and 1...1 at the
 least ball weight c of that root (1 where it has no open word), so that
 the one row bounds the root of every flag pair.  PRUNE[(n, t)] holds "u:v"
 for each dominant word u and its least subordinate v that is not dominant.
-The search re-checks both: certify derives a sound bound from any weights,
-and every pair is checked against the ball table, so a stale row is weak,
-never wrong.
+The search re-checks both: search._root_bound derives a sound bound from
+any weights, and every pair is checked against the ball table, so a stale
+row is weak, never wrong.
 
 Rows are strings, not dict literals, because a job that runs without a
 bytecode cache compiles this module: strings compile many times faster.
