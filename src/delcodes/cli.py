@@ -69,13 +69,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ball", help="list the deletion ball of a word")
+    # the shared options, each declared once, as parents of the subcommands
+    # that take it
+    js, n, t = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    js.add_argument("--json", action="store_true")
+    n.add_argument("--n", type=int, required=True)
+    t.add_argument("--t", type=int, required=True)
+
+    p = sub.add_parser("ball", parents=[t, js], help="list the deletion ball of a word")
     p.add_argument("word")
-    p.add_argument("--t", type=int, required=True)
-    _add_json(p)
     p.set_defaults(func=_cmd_ball)
 
-    p = sub.add_parser("dist", help="distance between two words")
+    p = sub.add_parser("dist", parents=[js], help="distance between two words")
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument(
@@ -83,42 +88,37 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("deletion", "levenshtein", "hamming"),
         default="deletion",
     )
-    _add_json(p)
     p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("dominate", help="does u dominate v under t deletions?")
+    p = sub.add_parser(
+        "dominate", parents=[t, js], help="does u dominate v under t deletions?"
+    )
     p.add_argument("u")
     p.add_argument("v")
-    p.add_argument("--t", type=int, required=True)
-    _add_json(p)
     p.set_defaults(func=_cmd_dominate)
 
-    p = sub.add_parser("enumerate", help="list dominant pairs of one length")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = sub.add_parser(
+        "enumerate", parents=[n, t, js], help="list dominant pairs of one length"
+    )
     p.add_argument("--method", choices=("brute", "closed"), default="brute")
-    _add_json(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser(
-        "verify", help="check the closed-form tables against brute force"
+        "verify",
+        parents=[n, t, js],
+        help="check the closed-form tables against brute force",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    _add_json(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("check", help="predicates for a code file")
+    p = sub.add_parser("check", parents=[t, js], help="predicates for a code file")
     p.add_argument("file")
-    p.add_argument("--t", type=int, required=True)
     p.add_argument("--perfect", action="store_true")
     p.add_argument("--basic", action="store_true")
-    _add_json(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("search", help="maximum code size by exact search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = sub.add_parser(
+        "search", parents=[n, t, js], help="maximum code size by exact search"
+    )
     p.add_argument("--no-basic-prune", action="store_true")
     p.add_argument("--no-force-constants", action="store_true")
     p.add_argument("--enumerate", action="store_true")
@@ -131,20 +131,15 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="wall-clock limit; 0 means unlimited (default: 600)",
     )
-    _add_json(p)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("vt", help="emit a checksum-residue baseline code")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser(
+        "vt", parents=[n, js], help="emit a checksum-residue baseline code"
+    )
     p.add_argument("--a", type=int, required=True)
-    _add_json(p)
     p.set_defaults(func=_cmd_vt)
 
     return parser
-
-
-def _add_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true")
 
 
 def _cmd_ball(args) -> int:

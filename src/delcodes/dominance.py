@@ -76,10 +76,11 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     (Levenshtein 1966): a ball holds one image per run of its word, and two
     distinct words share at most two images, so a dominated v has at most
     two runs; u is one of v's images, of at most two runs, with one symbol
-    inserted, which adds two runs at most.  At n = 14 that keeps 196 of 4 160
-    leaders.  Above t = 1 no run bound is used: Levenshtein's bound on the
-    shared images, 2 * D(n - 2, t - 1), exceeds the balls it would have to
-    rule out (24 against at most 7 words at n = 14, t = 2).
+    inserted, which adds two runs at most.  These leaders are made from the
+    words of at most four runs, not picked from all leaders: at n = 14 they
+    are 196 of 4 160.  Above t = 1 no run bound is used: Levenshtein's bound
+    on the shared images, 2 * D(n - 2, t - 1), exceeds the balls it would
+    have to rule out (24 against at most 7 words at n = 14, t = 2).
 
     A candidate v of a weight other than u's is skipped when v has at least
     t zeros and at least t ones: deleting t zeros of v leaves a word of
@@ -102,12 +103,20 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
     low = (1 << m) - 1
     shared = low >> t
     word = (1 << n) - 1
+    if t == 1:
+        # a dominator has at most four runs (see above), and so has each of
+        # its images.  A word starting with 0 is the XOR of the low masks
+        # (1 << s) - 1 at the bits s where its symbol changes, three of them
+        # at most: three rounds of one more mask reach them all
+        lows = [(1 << s) - 1 for s in range(1, n)]
+        few_runs = {0}
+        for _ in range(3):
+            few_runs |= {w ^ low for w in few_runs for low in lows}
+        leaders = {min(_images(w, n)) for w in few_runs}
+    else:
+        leaders = _orbit_leaders(n)
     pairs: set[int] = set()
-    for u in _orbit_leaders(n):
-        # at t = 1 a dominator has at most four runs (see above); u has one
-        # run more than it has adjacent bits that differ
-        if t == 1 and ((u ^ u >> 1) & word >> 1).bit_count() > 3:
-            continue
+    for u in leaders:
         # a list: unpacking a bare map leaves tuples on the free lists
         dom = union(*list(map(prev, images(u))))
         weight = u.bit_count()

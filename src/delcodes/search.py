@@ -214,7 +214,7 @@ def _solve_stack(
     cap: int,
     cliques: Certificate,
     found: list[int] | None = None,
-    limit: int | None = None,
+    limit: float = math.inf,
 ) -> tuple[int, int, int, bool]:
     """Exact max independent set over the subproblems (open mask, chosen
     mask, bound) on the stack, the last popped first.  A subproblem's size
@@ -228,8 +228,9 @@ def _solve_stack(
     search stops once the incumbent reaches `cap`, a proved upper bound.
     Returns (best_size, best_chosen, nodes, exhausted), nodes counting the
     pops that were expanded; on deadline expiry the best found so far comes
-    back with exhausted False, and so it does after `limit` expanded nodes,
-    with every subproblem not yet expanded left on the stack.
+    back with exhausted False, and so it does after `limit` expanded nodes
+    (math.inf, the default, for no limit), with every subproblem not yet
+    expanded left on the stack.
 
     The same loop serves three modes.  Maximise: best_size is an incumbent
     and cap a proved bound.  Find a solution of size T: best_size T - 1 and
@@ -346,7 +347,7 @@ def max_code_size(config: SearchConfig) -> SearchResult:
     # stack when it does not end the tree
     best_size, best_chosen, nodes, exhausted = _solve_stack(
         adj, stack, best_size, best_chosen, deadline, upper, cliques,
-        limit=_SERIAL_PREFIX_NODES if procs > 1 else None,
+        limit=_SERIAL_PREFIX_NODES if procs > 1 else math.inf,
     )
     if not exhausted and time.monotonic() <= deadline:
         # one subproblem per task, in pop order, each worker from the

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gc
 import json
@@ -368,6 +369,18 @@ class TestSearch:
         assert code == 4
         assert "lower-bound" in out
 
+    @pytest.mark.parametrize("flags, err", [
+        (("--n", "8", "--canonical", "--budget", "0.005"),
+         "error: canonical witness ran out of budget\n"),
+        (("--n", "7", "--enumerate", "--budget", "0.001"),
+         "error: enumeration at n=7, t=1 ran out of budget\n"),
+    ])
+    def test_budget_ends_a_pass_with_only_an_error(self, capsys, flags, err):
+        # the root settles n = 8 at once, so the canonical pass is what the
+        # budget stops; neither pass has a code or interval to print
+        code, out, stderr = run(capsys, "search", "--t", "1", *flags, "--json")
+        assert (code, out, stderr) == (4, "", err)
+
     def test_nan_budget_is_domain_error(self, capsys):
         code, out, err = run(capsys, "search", "--n", "9", "--t", "1", "--budget", "nan")
         assert code == 1 and not out and "budget" in err
@@ -453,6 +466,49 @@ class TestUsage:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == ""
+
+
+# each subcommand's options: (required, default, type) by option string
+OPTIONS = {
+    "ball": {"--t": (True, None, int)},
+    "dist": {"--metric": (False, "deletion", None)},
+    "dominate": {"--t": (True, None, int)},
+    "enumerate": {
+        "--n": (True, None, int), "--t": (True, None, int),
+        "--method": (False, "brute", None),
+    },
+    "verify": {"--n": (True, None, int), "--t": (True, None, int)},
+    "check": {
+        "--t": (True, None, int), "--perfect": (False, False, None),
+        "--basic": (False, False, None),
+    },
+    "search": {
+        "--n": (True, None, int), "--t": (True, None, int),
+        "--no-basic-prune": (False, False, None),
+        "--no-force-constants": (False, False, None),
+        "--enumerate": (False, False, None), "--canonical": (False, False, None),
+        "--threads": (False, 1, int), "--budget": (False, 600.0, float),
+    },
+    "vt": {"--n": (True, None, int), "--a": (True, None, int)},
+}
+
+
+class TestOptions:
+    def test_each_subcommand_has_its_options(self):
+        (subs,) = [
+            a.choices
+            for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert list(subs) == list(OPTIONS)
+        for name, sub in subs.items():
+            found = {
+                a.option_strings[-1]: (a.required, a.default, a.type)
+                for a in sub._actions
+                if a.option_strings and a.dest != "help"
+            }
+            # --json on every subcommand, a flag off by default
+            assert found == {**OPTIONS[name], "--json": (False, False, None)}, name
 
 
 class TestCollector:
