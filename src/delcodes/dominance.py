@@ -176,9 +176,10 @@ def _check_query(n: int, t: int) -> None:
 # --- closed-form pattern tables -------------------------------------------
 #
 # Exponents are symbolic: (a, b, c) stands for a*n + b*m + c.  A row
-# instantiates at concrete (n, m, p) by materializing each run; any negative
-# exponent means m is outside the row's range.  Roles: 'p' is the chosen
-# symbol, 'q' its complement.
+# instantiates at concrete (n, m) by materializing each run; any negative
+# exponent means m is outside the row's range.  Roles: 'p' is a symbol and
+# 'q' its complement.  Each row is materialized once, with p = 0 and q = 1:
+# the complement and reversal images of each pair are added by closure.
 
 Exponent = tuple[int, int, int]
 Run = tuple[str, Exponent]
@@ -208,26 +209,25 @@ class PatternPair(NamedTuple):
     def uses_m(self) -> bool:
         return any(e[1] for _, e in self.u_runs + self.v_runs)
 
-    def instantiate(self, n: int, m: int, p: int) -> tuple[Word, Word] | None:
+    def instantiate(self, n: int, m: int) -> tuple[Word, Word] | None:
         """Words (u, v) at concrete parameters, or None if m is out of range."""
-        u = _materialize(self.u_runs, n, m, p)
-        v = _materialize(self.v_runs, n, m, p)
+        u = _materialize(self.u_runs, n, m)
+        v = _materialize(self.v_runs, n, m)
         if u is None or v is None:
             return None
         return Word.from_bits(u, n), Word.from_bits(v, n)
 
 
-def _materialize(runs: tuple[Run, ...], n: int, m: int, p: int) -> int | None:
+def _materialize(runs: tuple[Run, ...], n: int, m: int) -> int | None:
     bits = 0
     total = 0
     for role, (a, b, c) in runs:
         e = a * n + b * m + c
         if e < 0:
             return None
-        if (role == "p") == (p == 1):
-            bits = (bits << e) | ((1 << e) - 1)
-        else:
-            bits <<= e
+        bits <<= e
+        if role == "q":
+            bits |= (1 << e) - 1
         total += e
     assert total == n, "pattern row exponents must sum to the word length"
     return bits
@@ -458,7 +458,6 @@ class FilteredInstance(NamedTuple):
     source: str
     n: int
     m: int | None
-    p: int
     u: Word
     v: Word
 
@@ -466,7 +465,6 @@ class FilteredInstance(NamedTuple):
         return {
             "source": self.source,
             "m": self.m,
-            "p": self.p,
             "u": str(self.u),
             "v": str(self.v),
         }
@@ -506,8 +504,8 @@ def closed_form_generation(n: int, t: int) -> GenerationResult:
 
 # Every length from t + 1 up comes from the rows alone, with no exhaustive
 # scan: the constant-word subordinates, at t = 2 the monotone lift of the
-# t = 1 pairs, and each row instance at p in {0, 1} and every m, closed under
-# complement and reversal.
+# t = 1 pairs, and each row instance at every m, closed under complement and
+# reversal.
 def _generate(n: int, t: int):
     acc: dict[tuple[int, int], set[str]] = {}
     filtered: list[FilteredInstance] = []
@@ -517,10 +515,8 @@ def _generate(n: int, t: int):
         for key in _generate(n, 1)[0]:
             acc.setdefault(key, set()).add("monotone-lift")
     for pattern in _ROWS[t]:
-        ms = range(n + 1) if pattern.uses_m else (None,)
-        for p in (0, 1):
-            for m in ms:
-                _try_row(acc, filtered, pattern, n, m, p, t)
+        for m in range(n + 1) if pattern.uses_m else (None,):
+            _try_row(acc, filtered, pattern, n, m, t)
     return acc, filtered
 
 
@@ -535,16 +531,16 @@ def _add_constant_subordinates(acc, n: int, t: int) -> None:
             acc.setdefault((ub ^ one, one), set()).add("all-one")
 
 
-def _try_row(acc, filtered, pattern: PatternPair, n, m, p, t) -> None:
-    inst = pattern.instantiate(n, 0 if m is None else m, p)
+def _try_row(acc, filtered, pattern: PatternPair, n, m, t) -> None:
+    inst = pattern.instantiate(n, 0 if m is None else m)
     if inst is None:
         return
     u, v = inst
-    # no pair at all: interior:18 at m = n gives u = v = 0...0 or 1...1
+    # no pair at all: interior:18 at m = n gives u = v = 0...0
     if u == v:
         return
     if not is_dominant(u, v, t):
-        filtered.append(FilteredInstance(pattern.tag, n, m, p, u, v))
+        filtered.append(FilteredInstance(pattern.tag, n, m, u, v))
         return
     for key in zip(_images(u.bits, n), _images(v.bits, n)):
         acc.setdefault(key, set()).add(pattern.tag)

@@ -596,7 +596,9 @@ def _canonical_witness(
             chosen |= bit
             om = sub
         elif not exhausted:
-            raise SearchBudgetExceeded("canonical witness ran out of budget")
+            raise SearchBudgetExceeded(
+                f"canonical witness ran out of budget; the optimum {optimum} is proved"
+            )
         else:
             om ^= bit
     if chosen.bit_count() < optimum:

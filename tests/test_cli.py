@@ -371,13 +371,14 @@ class TestSearch:
 
     @pytest.mark.parametrize("flags, err", [
         (("--n", "8", "--canonical", "--budget", "0.005"),
-         "error: canonical witness ran out of budget\n"),
+         "error: canonical witness ran out of budget; the optimum 30 is proved\n"),
         (("--n", "7", "--enumerate", "--budget", "0.001"),
          "error: enumeration at n=7, t=1 ran out of budget\n"),
     ])
     def test_budget_ends_a_pass_with_only_an_error(self, capsys, flags, err):
         # the root settles n = 8 at once, so the canonical pass is what the
-        # budget stops; neither pass has a code or interval to print
+        # budget stops, and its error names the proved optimum; neither pass
+        # has a code or interval to print
         code, out, stderr = run(capsys, "search", "--t", "1", *flags, "--json")
         assert (code, out, stderr) == (4, "", err)
 

@@ -29,6 +29,7 @@ from delcodes.dominance import (
     TWO_DELETION_ROWS,
     _dominant_pairs_packed,
 )
+from delcodes.words import _images
 
 # counts pinned by the string-based quadratic oracle
 BRUTE_COUNTS_T2 = {3: 42, 4: 88, 5: 134, 6: 182, 7: 232, 8: 284}
@@ -52,6 +53,35 @@ PAIR_TABLE_SHA256 = {
     (12, 3): "72d9412a52e4f30418a6e6fcc267226c36e3ba839200fcfb2b2667860dd52e1f",
     (13, 3): "df9f7423d74ef74c96134daf3c09ff7915901b76495bd9824b5d3c390fb28e69",
     (14, 3): "30727a3eeb82e6411ca7e2767ec2f3a3a52c919f33cf655db55dd35db480be48",
+}
+# sha256 of repr(sorted((u.bits, v.bits, tags) for every provenance entry)):
+# the closed-form pairs and the tags that made each one
+CLOSED_FORM_SHA256 = {
+    (2, 1): "2fec788c455af238e95f6890d1187854461b810d2ddc3b0d6b9e9c38968b9a9c",
+    (3, 1): "1725dc8cfa1310b739e465aaabf30b49728f4f946fe4e4f8f951cb3812d87a40",
+    (4, 1): "5db4cbac0fddadb4195adf7a223965cc5ab1a2eb554939318bbea2c870662c50",
+    (5, 1): "a7126e61476b021beef32cc6cf054988d256c015e245bb3da1d8bec30fbed792",
+    (6, 1): "4efcddb1341e5ea8c911003693a84ef01c83268e2778c8803c5fbf0b31557b8f",
+    (7, 1): "0ac116ec75d8d71bff06d6d1dddc7b59df234516249337e1c6826be55273dcb5",
+    (8, 1): "b08e63a49b60d6c4cc70dfd2a3f0aaff0a91484774aa1667ea53d44eeaa99cad",
+    (9, 1): "a0636fc2305cd4760f1ef956519db932dd2c891484592b3341153eab778ff139",
+    (10, 1): "fa49eabdb77d17f45e9d22043bc04965958787869754975a7f30b131ae46d18c",
+    (11, 1): "8d5e97aecebe00552ffc462714afcb77fff5e3a29aeabbd3d63bf4eeec8219e0",
+    (12, 1): "dc1b657b9198fd08863bacb02ed12cdc48325e96a7a35449c3169e90c7e9d380",
+    (13, 1): "d97f6e065cfe9170539b2424d6dd05cf0ad73fbb2fac0167fb98c8b1d9e827a2",
+    (14, 1): "7fb37710489011ae1c13183f7b06ec429f869eee4e537b3d5a8bb04001b69172",
+    (3, 2): "4bfdf5ae6587728277a870adaea155fc8579806ae3c5d98496ea4b4026f66dda",
+    (4, 2): "a3dfec7faa1a59940ab786a02842104db619606997b87a856b68cdacd274e7e0",
+    (5, 2): "b7cbb06d5f59c503d57e22e4f8e1ec0a9f24f938584c44091c87b39b34812813",
+    (6, 2): "35e50b59556f1edb6a944a0b83f71b8fd0b01c803324b0119fcde631fe68c871",
+    (7, 2): "49e3ac628c0972f926e8e161ca39ab47c46a04f872dd3fa32ee7eaf5e59874ca",
+    (8, 2): "49af6c99638a60e9e007ce5a37c85d5936304da395f0a0c3b76360a5dcf2d3ab",
+    (9, 2): "90992c24da18388e595adccc14840b830345bcfbd8c48e95db6a9b2b21bfa36d",
+    (10, 2): "be5c3433cae88003c4d8a4836dd2f96d3b0e46927d0d0433329575b6684e3d52",
+    (11, 2): "c509651fe664d377a5eb7f071f37cb1ef9b30776542b8cf0b7524c946ae3a477",
+    (12, 2): "a107c4cda5e816790252675f7bcd804a5e01120c54dece1eaf0e15ebf6d46568",
+    (13, 2): "fa0ed3908bcf06109fd697763e280df34b0e27d6f256fdb8c36c4481689a70cf",
+    (14, 2): "25ee1739beec2c7c914b6290cbf71d75184a93daf9cc882c20ffc4a669ab10f8",
 }
 
 
@@ -280,40 +310,57 @@ class TestClosedForm:
 
     def test_row18_boundary_instance_is_filtered_not_included(self):
         # the m=2 instantiation of the last interior row at n=5 fails the
-        # containment check (001 escapes), so it must land in `filtered`
+        # containment check (001 escapes), so it lands in `filtered`, once;
+        # its complement fails too, and no instance stands for it
         assert not is_dominant(Word("01110"), Word("00111"), 2)
+        assert not is_dominant(Word("10001"), Word("11000"), 2)
         gen = closed_form_generation(5, 2)
-        assert ("01110", "00111") not in pair_strings(gen.pairs)
-        assert any(
-            str(f.u) == "01110" and str(f.v) == "00111" and f.source == "interior:18"
-            for f in gen.filtered
-        )
+        assert not {("01110", "00111"), ("10001", "11000")} & pair_strings(gen.pairs)
+        rejected = [(f.source, str(f.u), str(f.v)) for f in gen.filtered]
+        assert rejected.count(("interior:18", "01110", "00111")) == 1
+        assert ("interior:18", "10001", "11000") not in rejected
 
     def test_rejected_row_instances_at_t2(self):
-        # both instances of interior:15 fail the definition at every n >= 5,
+        # the instance of interior:15 fails the definition at every n >= 5,
         # so that row gives pairs only at n = 4; interior:17 and interior:18
-        # fail for exactly 1 <= m <= n - 3; every other instance passes
+        # fail for exactly 1 <= m <= n - 3; every other instance passes.
+        # Each row is instantiated once, with p = 0 and q = 1
         assert any(
             "interior:15" in tags
             for tags in closed_form_generation(4, 2).provenance.values()
         )
         for n in range(5, 21):
             gen = closed_form_generation(n, 2)
-            expected = {("interior:15", None, p) for p in (0, 1)} | {
-                (f"interior:{row}", m, p)
-                for row in (17, 18) for m in range(1, n - 2) for p in (0, 1)
+            expected = {("interior:15", None)} | {
+                (f"interior:{row}", m) for row in (17, 18) for m in range(1, n - 2)
             }
-            rejected = [(f.source, f.m, f.p) for f in gen.filtered]
+            rejected = [(f.source, f.m) for f in gen.filtered]
             assert len(rejected) == len(set(rejected)), n
             assert set(rejected) == expected, n
             for f in gen.filtered:
                 if f.source == "interior:15":
-                    p, q = str(f.p), str(1 - f.p)
-                    assert str(f.u) == p * (n - 4) + q + p * 2 + q, n
-                    assert str(f.v) == p * (n - 3) + q * 2 + p, n
+                    assert str(f.u) == "0" * (n - 4) + "1001", n
+                    assert str(f.v) == "0" * (n - 3) + "110", n
             assert not any(
                 "interior:15" in tags for tags in gen.provenance.values()
             ), n
+
+    @pytest.mark.parametrize("n, t", sorted(CLOSED_FORM_SHA256))
+    def test_closed_form_pinned(self, n, t):
+        gen = closed_form_generation(n, t)
+        rows = sorted((p.u.bits, p.v.bits, tags) for p, tags in gen.provenance.items())
+        digest = hashlib.sha256(repr(rows).encode())
+        assert digest.hexdigest() == CLOSED_FORM_SHA256[n, t]
+
+    @pytest.mark.parametrize("n", [4, 10, 12, 14])
+    def test_every_image_of_a_filtered_instance_fails(self, n):
+        # each row is instantiated once: its complement, reversal and
+        # reverse complement fail too, so no other instance is lost
+        gen = closed_form_generation(n, 2)
+        assert gen.filtered
+        for f in gen.filtered:
+            for ub, vb in zip(_images(f.u.bits, n), _images(f.v.bits, n)):
+                assert not is_dominant(Word.from_bits(ub, n), Word.from_bits(vb, n), 2)
 
     def test_every_generated_pair_is_dominant(self):
         for n, t in [(4, 1), (7, 1), (5, 2), (7, 2)]:
@@ -368,9 +415,10 @@ class TestClosedForm:
                 assert (coeff_n, coeff_m, coeff_c) == (1, 0, 0), row.tag
 
     def test_instantiate_out_of_range_m(self):
-        assert BOUNDARY_SWAP.instantiate(4, 0, 0) is None
-        assert BOUNDARY_SWAP.instantiate(4, 4, 0) is None
-        inst = BOUNDARY_SWAP.instantiate(4, 1, 0)
+        # role p is the symbol 0 and role q the symbol 1
+        assert BOUNDARY_SWAP.instantiate(4, 0) is None
+        assert BOUNDARY_SWAP.instantiate(4, 4) is None
+        inst = BOUNDARY_SWAP.instantiate(4, 1)
         assert inst is not None
         u, v = inst
         assert (str(u), str(v)) == ("1011", "0111")
@@ -491,7 +539,7 @@ class TestVerification:
 
     def test_small_n_exhaustive_base_cases(self):
         # the shortest double-deletion lengths come from the rows alone too
-        for n, filtered in ((3, 0), (4, 4)):
+        for n, filtered in ((3, 0), (4, 2)):
             report = verify_characterization(n, 2)
             assert report.confirmed
             assert len(report.filtered) == filtered
@@ -518,7 +566,7 @@ class TestVerification:
         assert again["brute_count"] == again["generated_count"] == 134
         assert again["missing"] == [] and again["spurious"] == []
         assert all(
-            set(f) == {"source", "m", "p", "u", "v"} for f in again["filtered"]
+            set(f) == {"source", "m", "u", "v"} for f in again["filtered"]
         )
 
     def test_summary_text(self):

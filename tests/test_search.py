@@ -302,7 +302,7 @@ class TestMaxCodeSize:
     def test_canonical_witness_respects_deadline(self):
         graph, open0, chosen0, *_, cliques = _root(SearchConfig(7, 1))
         past = time.monotonic() - 1
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded, match="; the optimum 16 is proved$"):
             _canonical_witness(
                 graph, open0, chosen0, KNOWN_OPTIMA[1, 7], past, cliques
             )
