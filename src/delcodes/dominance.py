@@ -140,12 +140,7 @@ def _dominant_pairs_packed(n: int, t: int) -> tuple[tuple[int, int], ...]:
 
 def enumerate_dominant_pairs(n: int, t: int) -> list[DominancePair]:
     """Every dominant pair of length n, by exhaustive scan; sorted by (v, u)."""
-    if not 2 <= n <= BRUTE_FORCE_CAP:
-        raise ValueError(f"length {n} outside enumeration range 2..{BRUTE_FORCE_CAP}")
-    if not 1 <= t <= 3:
-        raise ValueError(f"deletion count {t} outside enumeration range 1..3")
-    if t > n:
-        raise ValueError(f"deletion count {t} exceeds length {n}")
+    _check_query(n, t)
     return [
         DominancePair(Word.from_bits(u, n), Word.from_bits(v, n), t)
         for u, v in _dominant_pairs_packed(n, t)
@@ -167,10 +162,15 @@ def subordinates_of(u: Word, t: int) -> WordSet:
 
 
 def _check_query(n: int, t: int) -> None:
-    if n > BRUTE_FORCE_CAP:
-        raise ValueError(f"length {n} exceeds scan cap {BRUTE_FORCE_CAP}")
-    if not 1 <= t <= n:
-        raise ValueError(f"deletion count {t} out of range 1..{n}")
+    """The one range check of every reader of the pair scan.  Above t = 3
+    its time and memory explode: at n = 14 it takes 0.5 s at t = 4 and
+    67 s and 1.3 GB at t = 7 (see README)."""
+    if not 2 <= n <= BRUTE_FORCE_CAP:
+        raise ValueError(f"length {n} outside pair scan range 2..{BRUTE_FORCE_CAP}")
+    if not 1 <= t <= 3:
+        raise ValueError(f"deletion count {t} outside pair scan range 1..3")
+    if t > n:
+        raise ValueError(f"deletion count {t} exceeds length {n}")
 
 
 # --- closed-form pattern tables -------------------------------------------

@@ -31,7 +31,6 @@ from .rows import pruning, stored_weights
 from .words import BRUTE_FORCE_CAP, Word, _ball_packed, _ball_table, _images
 
 SEARCH_CAPS = {1: 12, 2: 10, 3: 10}
-ENUMERATION_CAP = 7
 # nodes a multi-process search expands serially before it starts its pool:
 # about twice the pool's start cost in nodes (see README), as two processes
 # at best halve the nodes left, so the pool pays only on a larger remainder
@@ -54,15 +53,10 @@ class SearchConfig(NamedTuple):
     workers: int = 1
 
     def validate(self) -> None:
-        if self.t not in SEARCH_CAPS:
-            raise ValueError(f"deletion count {self.t} not supported (1..3)")
+        _check_caps(self.n, self.t)
         if self.t >= self.n:
             raise ValueError(
                 f"deletion count {self.t} must be below the word length {self.n}"
-            )
-        if self.n > SEARCH_CAPS[self.t]:
-            raise ValueError(
-                f"length {self.n} exceeds search cap {SEARCH_CAPS[self.t]} for t={self.t}"
             )
         if self.workers < 1:
             raise ValueError("worker count must be positive")
@@ -121,12 +115,17 @@ class ConflictGraph:
         return len(self.vertices)
 
 
-def build_candidates(n: int, t: int, basic_only: bool) -> list[Word]:
-    """All words of length n, minus the dominated-replaceable ones if requested."""
+def _check_caps(n: int, t: int) -> None:
+    """The one check of the search caps, for every search and its candidates."""
     if t not in SEARCH_CAPS:
         raise ValueError(f"deletion count {t} not supported (1..3)")
     if n > SEARCH_CAPS[t]:
         raise ValueError(f"length {n} exceeds search cap {SEARCH_CAPS[t]} for t={t}")
+
+
+def build_candidates(n: int, t: int, basic_only: bool) -> list[Word]:
+    """All words of length n, minus the dominated-replaceable ones if requested."""
+    _check_caps(n, t)
     if basic_only:
         if t >= n:
             raise ValueError(f"no dominance pruning for t={t} at length {n}")
@@ -485,12 +484,9 @@ def enumerate_optimal_codes(config: SearchConfig) -> list[Code]:
     One root step (see _root) and one collect pass over the orbit roots
     (see _solve_stack), from a floor one below the initial incumbent's
     size: the pass lifts the floor itself when the optimum is larger.  It
-    prunes with the root certificate under one deadline, taken at entry."""
+    prunes with the root certificate under one deadline, taken at entry,
+    which alone bounds its time."""
     config.validate()
-    if config.n > ENUMERATION_CAP:
-        raise ValueError(
-            f"length {config.n} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
     deadline = time.monotonic() + (config.time_budget or math.inf)
     # one image of every optimum suffices: the classes are orbits, and the
     # dominant words are mapped onto themselves

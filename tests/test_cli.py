@@ -287,6 +287,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path), "--t", "1", "--perfect")
         assert code == 0 and "not applicable" in out
 
+    def test_basic_above_three_deletions_is_domain_error(self, capsys, tmp_path):
+        # the pair scan takes t <= 3: above it, time and memory explode
+        path = tmp_path / "vt14.code"
+        path.write_text(vt_code(14, 0).to_text())
+        code, out, err = run(capsys, "check", str(path), "--t", "4", "--basic")
+        assert (code, out) == (1, "")
+        assert "deletion count 4 outside pair scan range 1..3" in err
+
     def test_one_symbol_words_admit_no_deletion_count(self, capsys, tmp_path):
         path = tmp_path / "one.code"
         path.write_text("0\n1\n")
@@ -353,6 +361,15 @@ class TestSearch:
         )
         doc = json.loads(out)
         assert code == 0 and len(doc["classes"]) == 2 and doc["optimum"] == 6
+
+    def test_enumerate_past_n7(self, capsys):
+        # no length cap of its own: the budget bounds the pass
+        code, out, _ = run(
+            capsys, "search", "--n", "8", "--t", "2", "--enumerate", "--json"
+        )
+        doc = json.loads(out)
+        assert code == 0 and doc["optimum"] == 7 and len(doc["classes"]) == 91
+        assert {len(c) for c in doc["classes"]} == {7}
 
     def test_enumerate_conflicts_with_canonical(self, capsys):
         code, _, err = run(

@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from conftest import ref_ball, ref_dominant_pairs, ref_lcs, word_pairs_st
 
 from delcodes import (
+    Code,
     DominancePair,
     Word,
     closed_form_generation,
     deletion_ball,
+    dominant_codewords,
     dominators_of,
     enumerate_dominant_pairs,
     equivalence_closure,
     generate_closed_form,
     is_dominant,
+    replace_dominant,
     subordinates_of,
     verify_characterization,
     weight,
@@ -293,8 +296,29 @@ class TestDominatorsAndSubordinates:
             dominators_of(Word.zeros(BRUTE_FORCE_CAP + 1), 1)
 
     def test_deletion_count_above_the_length_rejected(self):
-        with pytest.raises(ValueError, match=r"^deletion count 5 out of range 1\.\.4$"):
-            subordinates_of(Word("0101"), 5)
+        with pytest.raises(ValueError, match=r"^deletion count 3 exceeds length 2$"):
+            subordinates_of(Word("01"), 3)
+
+    def test_every_reader_refuses_four_deletions_before_the_scan(self, monkeypatch):
+        # above t = 3 the scan's time and memory explode (see _check_query)
+        def no_scan(n, t):
+            raise AssertionError(f"pair scan at n={n} t={t}")
+
+        monkeypatch.setattr(dominance, "_dominant_pairs_packed", no_scan)
+        w = Word.zeros(14)
+        code = Code([w, Word.ones(14)])
+        readers = [
+            lambda: enumerate_dominant_pairs(14, 4),
+            lambda: dominators_of(w, 4),
+            lambda: subordinates_of(w, 4),
+            lambda: dominant_codewords(code, 4),
+            lambda: replace_dominant(code, 4),
+        ]
+        for read in readers:
+            with pytest.raises(
+                ValueError, match=r"^deletion count 4 outside pair scan range 1\.\.3$"
+            ):
+                read()
 
 
 class TestClosedForm:

@@ -1166,7 +1166,9 @@ class TestEnumerateOptimal:
                 assert not are_equivalent(codes[i], codes[j])
 
     def test_flag_independent(self):
-        for n, t in [(5, 1), (6, 1), (6, 2), (7, 1)]:
+        # with both flags off the collect passes at (8,2), (9,2), (9,3) and
+        # (10,3) expand 1 184, 42 773, 490 and 15 977 nodes
+        for n, t in [(5, 1), (6, 1), (6, 2), (7, 1), (8, 2), (9, 2), (9, 3), (10, 3)]:
             base = enumerate_optimal_codes(SearchConfig(n, t))
             alt = enumerate_optimal_codes(
                 SearchConfig(n, t, basic_only=False, force_constants=False)
@@ -1177,13 +1179,24 @@ class TestEnumerateOptimal:
         # the collect pass reaches every optimum: a step that keeps one
         # optimum of several (a degree-1/2 reduction did) loses classes,
         # 20 -> 15 at t=2, n=7
-        counts = {(6, 1): 3, (7, 1): 46, (6, 2): 2, (7, 2): 20, (7, 3): 1}
+        counts = {
+            (6, 1): 3, (7, 1): 46, (8, 1): 1, (6, 2): 2, (7, 2): 20, (8, 2): 91,
+            (9, 2): 24, (7, 3): 1, (9, 3): 26, (10, 3): 642,
+        }
         for (n, t), count in counts.items():
             assert len(enumerate_optimal_codes(SearchConfig(n, t))) == count, (n, t)
 
-    def test_requires_enumerate_flag_and_cap(self):
+    def test_t1_n8_class_is_vt0(self):
+        # the one optimal basic class at t = 1, n = 8 is the checksum code's
+        (code,) = enumerate_optimal_codes(SearchConfig(8, 1))
+        assert are_equivalent(code, vt_code(8, 0))
+
+    def test_budget_not_a_cap_bounds_enumeration(self):
+        # any (n, t) that a search takes is enumerated until the budget ends it
+        with pytest.raises(SearchBudgetExceeded):
+            enumerate_optimal_codes(SearchConfig(9, 1, time_budget=0.2))
         with pytest.raises(ValueError):
-            enumerate_optimal_codes(SearchConfig(8, 1))
+            enumerate_optimal_codes(SearchConfig(13, 1))
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(SearchBudgetExceeded):
@@ -1260,7 +1273,9 @@ class TestEnumerateOptimal:
         assert {mask.bit_count() for mask in gathered[-1]} == {optimum}
 
     @pytest.mark.parametrize(
-        "n,t", [(n, t) for t in SEARCH_CAPS for n in range(t + 1, 8)]
+        "n,t",
+        [(n, t) for t in SEARCH_CAPS for n in range(t + 1, 8)]
+        + [(8, 2), (8, 3), (9, 2), (9, 3), (10, 3)],
     )
     def test_canonical_witness_is_the_least_class(self, n, t):
         # under the default flags the candidates are the basic words, so the
